@@ -16,15 +16,7 @@ from .bench import (
     truncated_error,
 )
 from .ensembles import EnsembleSpec, RicEstimate, build_matrix, probe_ric
-from .linalg import (
-    RankDeficiencyError,
-    adjoint_mat_vec,
-    embed_coefficients,
-    index_set,
-    least_squares,
-    mat_vec,
-    restrict_columns,
-)
+from .linalg import RankDeficiencyError, least_squares
 from .recovery import (
     RecoveryOptions,
     RecoveryResult,
@@ -51,21 +43,16 @@ __all__ = [
     "SweepReport",
     "TrialRecord",
     "add_noise",
-    "adjoint_mat_vec",
     "aggregate_records",
     "best_m_term",
     "build_matrix",
     "derive_seed",
-    "embed_coefficients",
     "generate_signal",
     "identify",
-    "index_set",
     "least_squares",
-    "mat_vec",
     "omp_recover",
     "probe_ric",
     "regularize",
-    "restrict_columns",
     "romp_recover",
     "run_sweep",
     "run_trial",

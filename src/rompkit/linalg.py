@@ -1,8 +1,8 @@
-"""Dense real linear algebra used by the recovery loop.
+"""Input validation and the least-squares refit used by the recovery loop.
 
-Matrices are 2-D float64 numpy arrays (row-major), vectors are 1-D float64
-arrays, and index sets are strictly increasing 1-D int64 arrays.  Everything
-here is a pure function; nothing mutates its inputs.
+Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
+float64 arrays.  Everything here is a pure function; nothing mutates its
+inputs.
 """
 
 import numpy as np
@@ -12,11 +12,6 @@ __all__ = [
     "RankDeficiencyError",
     "as_matrix",
     "as_vector",
-    "index_set",
-    "mat_vec",
-    "adjoint_mat_vec",
-    "restrict_columns",
-    "embed_coefficients",
     "least_squares",
 ]
 
@@ -63,62 +58,6 @@ def as_vector(v):
     if not np.all(np.isfinite(a)):
         raise ValueError("vector entries must be finite")
     return a
-
-
-def index_set(indices, dim=None):
-    """Validate and sort a collection of distinct column indices.
-
-    Returns a strictly increasing int64 array.  Duplicates and (when ``dim``
-    is given) out-of-range indices raise ``ValueError``.
-    """
-    idx = np.sort(np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices, dtype=np.int64))
-    if idx.ndim != 1:
-        raise ValueError("index set must be one-dimensional")
-    if idx.size > 1 and np.any(np.diff(idx) == 0):
-        raise ValueError("index set contains duplicate indices")
-    if idx.size and idx[0] < 0:
-        raise ValueError("index set contains negative indices")
-    if dim is not None and idx.size and idx[-1] >= dim:
-        raise ValueError(f"index {int(idx[-1])} out of range for dimension {dim}")
-    return idx
-
-
-def mat_vec(matrix, vec):
-    """Matrix-vector product ``M @ z`` with a dimension check."""
-    m = np.asarray(matrix)
-    z = np.asarray(vec)
-    if z.shape[0] != m.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix has {m.shape[1]} columns, vector has length {z.shape[0]}")
-    return m @ z
-
-
-def adjoint_mat_vec(matrix, vec):
-    """Transpose product ``M.T @ z`` with a dimension check."""
-    m = np.asarray(matrix)
-    z = np.asarray(vec)
-    if z.shape[0] != m.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix has {m.shape[0]} rows, vector has length {z.shape[0]}")
-    return m.T @ z
-
-
-def restrict_columns(matrix, indices):
-    """Column submatrix ``M[:, I]`` in the (sorted) order of the index set."""
-    m = np.asarray(matrix)
-    idx = index_set(indices, dim=m.shape[1])
-    if idx.size == 0:
-        raise ValueError("cannot restrict to an empty index set")
-    return m[:, idx]
-
-
-def embed_coefficients(values, indices, dim):
-    """Zero-padded vector in R^dim carrying ``values`` on the index set."""
-    idx = index_set(indices, dim=dim)
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape[0] != idx.shape[0]:
-        raise ValueError("coefficient count does not match index set size")
-    out = np.zeros(dim)
-    out[idx] = vals
-    return out
 
 
 def least_squares(a, x):

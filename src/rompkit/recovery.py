@@ -1,10 +1,11 @@
 """Greedy sparse recovery: ROMP and an orthogonal-matching-pursuit baseline.
 
 Both algorithms recover an approximately sparse vector from measurements
-``x = Phi @ v + e`` by growing an index set and re-solving a least-squares
-problem on the selected columns.  ROMP selects a whole batch of comparable
-candidates per iteration (the regularization step); OMP picks one coordinate
-at a time.
+``x = Phi @ v + e`` with one loop: correlate the residual against all
+columns, select new indices, and re-solve least squares on every column
+selected so far.  Only the selection rule differs.  ROMP takes the ``n``
+largest correlations and keeps a whole batch of comparable ones (the
+regularization step); OMP picks one coordinate at a time.
 """
 
 import math
@@ -16,7 +17,6 @@ from .linalg import (
     RankDeficiencyError,
     as_matrix,
     as_vector,
-    embed_coefficients,
     least_squares,
 )
 
@@ -47,18 +47,16 @@ TERMINATIONS = (MAX_ITERATIONS, SUPPORT_BUDGET, ZERO_OBSERVATION, ZERO_RESIDUAL)
 # log is clamped at 1 so the threshold stays finite at sparsity 1.
 REGULARIZATION_ENERGY_FACTOR = 2.5
 ORTHOGONALITY_TOL = 1e-8
+# Relative stopping tolerance: iteration stops once the residual norm falls
+# below ``RESIDUAL_TOL * ||x||_2`` (termination ``zero-residual``).
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class RecoveryOptions:
-    """Knobs shared by both recovery algorithms.
-
-    residual_tol is relative: iteration stops once the residual norm falls
-    below ``residual_tol * ||x||_2`` (termination ``zero-residual``).
-    """
+    """Options shared by both recovery algorithms."""
 
     trace: bool = False
-    residual_tol: float = 1e-10
 
 
 @dataclass
@@ -159,14 +157,87 @@ def _validated_inputs(matrix, measurements, sparsity):
     return a, x
 
 
-def _solve_on_support(a, x, support):
-    columns = a[:, support]
-    try:
-        coeffs = least_squares(columns, x)
-    except RankDeficiencyError as exc:
-        raise RankDeficiencyError(exc.numerical_rank, exc.shape, support=support.copy()) from exc
-    residual = x - columns @ coeffs
-    return coeffs, residual
+def _romp_rule(observation, sparsity):
+    candidates = identify(observation, sparsity)
+    if candidates.size == 0:
+        return candidates, candidates
+    return candidates, regularize(observation, candidates)
+
+
+def _omp_rule(observation, sparsity):
+    picked = identify(observation, 1)
+    return picked, picked
+
+
+def _pursue(select, matrix, measurements, sparsity, options):
+    """The greedy loop shared by ROMP and OMP; ``select`` is the selection rule.
+
+    ``select(observation, sparsity)`` returns ``(candidates, selected)``, both
+    empty exactly when the observation vanishes.
+    """
+    opts = options or RecoveryOptions()
+    a, x = _validated_inputs(matrix, measurements, sparsity)
+    # Work on x scaled by a power of two so that max|x| lies in [1/2, 1):
+    # norms and regularization energies cannot overflow at any finite input
+    # scale, and the scaling is exact, so ordinary inputs give bit-identical
+    # results.  frexp(0) has exponent 0, which leaves a zero x untouched.
+    exponent = math.frexp(float(np.max(np.abs(x))))[1]
+    x = np.ldexp(x, -exponent)
+    norm_x = np.linalg.norm(x)
+
+    support = np.empty(0, dtype=np.int64)
+    residual = x
+    estimate = np.zeros(a.shape[1])
+    trace = []
+    iterations = 0
+    termination = None
+
+    while iterations < sparsity and support.size < 2 * sparsity:
+        correlation = a.T @ residual
+        # In exact arithmetic the correlation vanishes on the selected set;
+        # zero it explicitly so roundoff dust can never be re-selected.  That
+        # also keeps every selection disjoint from the support.
+        masked = correlation.copy()
+        masked[support] = 0.0
+        candidates, selected = select(masked, sparsity)
+        if selected.size == 0:
+            termination = ZERO_OBSERVATION
+            break
+        support = np.sort(np.concatenate((support, selected)))
+        columns = a[:, support]
+        try:
+            coeffs = least_squares(columns, x)
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(exc.numerical_rank, exc.shape, support=support.copy()) from exc
+        residual = x - columns @ coeffs
+        # The support only grows, so this overwrites every earlier coefficient.
+        estimate[support] = coeffs
+        iterations += 1
+        if opts.trace:
+            trace.append(
+                IterationState(
+                    support=support.copy(),
+                    candidates=candidates,
+                    selected=selected,
+                    correlation=np.ldexp(correlation, exponent),
+                    residual=np.ldexp(residual, exponent),
+                    coefficients=np.ldexp(estimate, exponent),
+                )
+            )
+        if np.linalg.norm(residual) <= RESIDUAL_TOL * norm_x:
+            termination = ZERO_RESIDUAL
+            break
+
+    if termination is None:
+        termination = SUPPORT_BUDGET if support.size >= 2 * sparsity else MAX_ITERATIONS
+
+    return RecoveryResult(
+        estimate=np.ldexp(estimate, exponent),
+        support=support,
+        iterations=iterations,
+        termination=termination,
+        trace=trace,
+    )
 
 
 def romp_recover(matrix, measurements, sparsity, options=None):
@@ -184,69 +255,19 @@ def romp_recover(matrix, measurements, sparsity, options=None):
 
     Runs at most ``sparsity`` iterations, stopping early once the selected
     index set reaches ``2 * sparsity`` indices, the observation vector
-    vanishes, or the residual norm drops below the relative tolerance.  Each
-    iteration correlates the residual against all columns, keeps the largest
-    ``sparsity`` nonzero coordinates, reduces them to the maximal-energy
-    comparable subset, and refits least squares on everything selected so far.
-    The estimate is the final least-squares solution, zero-padded to R^d.
+    vanishes, or the residual norm drops below ``RESIDUAL_TOL * ||x||_2``.
+    Each iteration correlates the residual against all columns, keeps the
+    largest ``sparsity`` nonzero coordinates, reduces them to the
+    maximal-energy comparable subset, and refits least squares on everything
+    selected so far.  The estimate is the final least-squares solution,
+    zero-padded to R^d.
 
     Raises :class:`RankDeficiencyError` (with the offending index set
     attached) when the selected columns become numerically dependent, which
     at sane sparsity levels signals a measurement matrix far from the
     isometry regime the algorithm expects.
     """
-    opts = options or RecoveryOptions()
-    a, x = _validated_inputs(matrix, measurements, sparsity)
-    dim = a.shape[1]
-    norm_x = np.linalg.norm(x)
-
-    support = np.empty(0, dtype=np.int64)
-    residual = x.copy()
-    estimate = np.zeros(dim)
-    trace = []
-    iterations = 0
-    termination = None
-
-    while iterations < sparsity and support.size < 2 * sparsity:
-        correlation = a.T @ residual
-        # In exact arithmetic the correlation vanishes on the selected set;
-        # zero it explicitly so roundoff dust can never be re-selected.
-        masked = correlation.copy()
-        masked[support] = 0.0
-        candidates = identify(masked, sparsity)
-        if candidates.size == 0:
-            termination = ZERO_OBSERVATION
-            break
-        selected = regularize(masked, candidates)
-        support = np.union1d(support, selected)
-        coeffs, residual = _solve_on_support(a, x, support)
-        estimate = embed_coefficients(coeffs, support, dim)
-        iterations += 1
-        if opts.trace:
-            trace.append(
-                IterationState(
-                    support=support.copy(),
-                    candidates=candidates,
-                    selected=selected,
-                    correlation=correlation,
-                    residual=residual.copy(),
-                    coefficients=estimate.copy(),
-                )
-            )
-        if np.linalg.norm(residual) <= opts.residual_tol * norm_x:
-            termination = ZERO_RESIDUAL
-            break
-
-    if termination is None:
-        termination = SUPPORT_BUDGET if support.size >= 2 * sparsity else MAX_ITERATIONS
-
-    return RecoveryResult(
-        estimate=estimate,
-        support=support,
-        iterations=iterations,
-        termination=termination,
-        trace=trace,
-    )
+    return _pursue(_romp_rule, matrix, measurements, sparsity, options)
 
 
 def omp_recover(matrix, measurements, sparsity, options=None):
@@ -254,57 +275,9 @@ def omp_recover(matrix, measurements, sparsity, options=None):
 
     Same contract as :func:`romp_recover` but each iteration selects exactly
     one coordinate, the largest correlation magnitude, for ``sparsity``
-    iterations.
+    iterations; the ``2 * sparsity`` support budget is never reached.
     """
-    opts = options or RecoveryOptions()
-    a, x = _validated_inputs(matrix, measurements, sparsity)
-    dim = a.shape[1]
-    norm_x = np.linalg.norm(x)
-
-    support = np.empty(0, dtype=np.int64)
-    residual = x.copy()
-    estimate = np.zeros(dim)
-    trace = []
-    iterations = 0
-    termination = None
-
-    while iterations < sparsity:
-        correlation = a.T @ residual
-        masked = correlation.copy()
-        masked[support] = 0.0
-        picked = identify(masked, 1)
-        if picked.size == 0:
-            termination = ZERO_OBSERVATION
-            break
-        support = np.union1d(support, picked)
-        coeffs, residual = _solve_on_support(a, x, support)
-        estimate = embed_coefficients(coeffs, support, dim)
-        iterations += 1
-        if opts.trace:
-            trace.append(
-                IterationState(
-                    support=support.copy(),
-                    candidates=picked,
-                    selected=picked,
-                    correlation=correlation,
-                    residual=residual.copy(),
-                    coefficients=estimate.copy(),
-                )
-            )
-        if np.linalg.norm(residual) <= opts.residual_tol * norm_x:
-            termination = ZERO_RESIDUAL
-            break
-
-    if termination is None:
-        termination = MAX_ITERATIONS
-
-    return RecoveryResult(
-        estimate=estimate,
-        support=support,
-        iterations=iterations,
-        termination=termination,
-        trace=trace,
-    )
+    return _pursue(_omp_rule, matrix, measurements, sparsity, options)
 
 
 def energy_floor(sparsity):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rompkit import cli, textio
-from rompkit.bench import TRIAL_CSV_HEADER
+from rompkit.bench import TRIAL_CSV_HEADER, SweepConfig, aggregates_path, run_sweep
 from rompkit.ensembles import EnsembleSpec, build_matrix
 from rompkit.recovery import romp_recover
 
@@ -109,6 +109,29 @@ def test_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 3
     assert open(svg_path, encoding="utf-8").read().startswith("<svg")
     assert "ran 6 trials" in capsys.readouterr().out
+
+
+def test_sweep_defaults_reproduce_signal_noise_figure(tmp_path):
+    # The signal-noise figure is `rompkit sweep --trials 500 --noise signal`;
+    # this is that run at two trials per cell against the explicit config.
+    cli_csv = str(tmp_path / "cli.csv")
+    code = cli.main(["sweep", "--noise", "signal", "--trials", "2", "--seed", "0", "--csv", cli_csv])
+    assert code == 0
+    config_csv = str(tmp_path / "config.csv")
+    run_sweep(SweepConfig(
+        dim=256,
+        sparsities=(4, 8, 12, 16, 20),
+        measurement_counts=tuple(range(32, 257, 32)),
+        trials=2,
+        noise_target="signal",
+        sigma=None,
+        algorithms=("romp",),
+        seed=0,
+        csv_path=config_csv,
+    ))
+    for got, want in ((cli_csv, config_csv), (aggregates_path(cli_csv), aggregates_path(config_csv))):
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
 
 
 def test_sweep_rejects_bad_grid(capsys):

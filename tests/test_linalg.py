@@ -2,112 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rompkit.linalg import (
-    RankDeficiencyError,
-    adjoint_mat_vec,
-    embed_coefficients,
-    index_set,
-    least_squares,
-    mat_vec,
-    restrict_columns,
-)
+from rompkit.linalg import RankDeficiencyError, least_squares
 from rompkit.rng import substream
-
-
-def triple_loop_mat_vec(matrix, vec):
-    """Independent oracle: naive O(N*d) multiply, no numpy reductions."""
-    rows, cols = matrix.shape
-    out = []
-    for i in range(rows):
-        acc = 0.0
-        for j in range(cols):
-            acc += matrix[i, j] * vec[j]
-        out.append(acc)
-    return np.array(out)
-
-
-def test_mat_vec_identity():
-    assert np.array_equal(mat_vec(np.eye(2), np.array([3.0, -1.0])), [3.0, -1.0])
-
-
-def test_mat_vec_hand_example():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mat_vec(m, np.array([1.0, 1.0])), [3.0, 7.0])
-
-
-def test_mat_vec_matches_triple_loop_oracle():
-    rng = substream(17)
-    m = rng.standard_normal((8, 5))
-    z = rng.standard_normal(5)
-    assert np.max(np.abs(mat_vec(m, z) - triple_loop_mat_vec(m, z))) <= 1e-12
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_vec(np.eye(3), np.ones(4))
-    with pytest.raises(ValueError):
-        adjoint_mat_vec(np.ones((3, 2)), np.ones(2))
-
-
-@settings(max_examples=60)
-@given(st.integers(0, 2**31 - 1))
-def test_adjoint_consistency(seed):
-    rng = substream(seed)
-    rows = int(rng.integers(1, 12))
-    cols = int(rng.integers(1, 12))
-    m = rng.standard_normal((rows, cols))
-    z = rng.standard_normal(cols)
-    w = rng.standard_normal(rows)
-    lhs = float(np.dot(mat_vec(m, z), w))
-    rhs = float(np.dot(z, adjoint_mat_vec(m, w)))
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    assert abs(lhs - rhs) <= 1e-10 * scale
-
-
-def test_restrict_columns_identity_middle():
-    picked = restrict_columns(np.eye(3), [1])
-    assert np.array_equal(picked, np.array([[0.0], [1.0], [0.0]]))
-
-
-def test_restrict_columns_order():
-    m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert np.array_equal(restrict_columns(m, [0, 2]), m[:, [0, 2]])
-
-
-def test_restrict_columns_elementwise_oracle():
-    rng = substream(23)
-    m = rng.standard_normal((6, 10))
-    idx = np.sort(rng.choice(10, size=4, replace=False))
-    sub = restrict_columns(m, idx)
-    for k, j in enumerate(idx):
-        for i in range(6):
-            assert sub[i, k] == m[i, j]
-
-
-def test_restrict_columns_rejects_bad_sets():
-    m = np.eye(3)
-    with pytest.raises(ValueError):
-        restrict_columns(m, [])
-    with pytest.raises(ValueError):
-        restrict_columns(m, [0, 3])
-    with pytest.raises(ValueError):
-        restrict_columns(m, [1, 1])
-
-
-def test_index_set_sorts_and_validates():
-    assert np.array_equal(index_set([4, 1, 2], dim=5), [1, 2, 4])
-    with pytest.raises(ValueError):
-        index_set([-1, 2])
-
-
-def test_embed_then_mat_vec_matches_restricted():
-    rng = substream(31)
-    m = rng.standard_normal((7, 9))
-    idx = np.array([1, 4, 8])
-    coeffs = rng.standard_normal(3)
-    direct = restrict_columns(m, idx) @ coeffs
-    padded = mat_vec(m, embed_coefficients(coeffs, idx, 9))
-    assert np.max(np.abs(direct - padded)) <= 1e-12
 
 
 def test_least_squares_closed_form_column():

@@ -217,6 +217,31 @@ def test_romp_support_budget_termination():
     assert result.iterations <= 4
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    noise=st.sampled_from([0.0, 0.01]),
+    k=st.integers(-900, 1000),
+)
+def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, noise, k):
+    # Selection is scale-invariant, so scaling x by 2**k (exact in binary
+    # floating point) must change nothing but the scale of the outputs.
+    rng = substream(seed)
+    v = np.zeros(128)
+    v[rng.choice(128, size=4, replace=False)] = rng.standard_normal(4)
+    x = gaussian_64x128 @ v + noise * rng.standard_normal(64)
+    for recover in (romp_recover, omp_recover):
+        base = recover(gaussian_64x128, x, 4, RecoveryOptions(trace=True))
+        scaled = recover(gaussian_64x128, np.ldexp(x, k), 4, RecoveryOptions(trace=True))
+        assert np.array_equal(scaled.support, base.support)
+        assert (scaled.iterations, scaled.termination) == (base.iterations, base.termination)
+        assert np.array_equal(scaled.estimate, np.ldexp(base.estimate, k))
+        for got, want in zip(scaled.trace, base.trace):
+            assert np.array_equal(got.residual, np.ldexp(want.residual, k))
+            assert np.array_equal(got.correlation, np.ldexp(want.correlation, k))
+            assert np.array_equal(got.coefficients, np.ldexp(want.coefficients, k))
+
+
 # ------------------------------------------------------------- omp_recover
 
 def test_omp_zero_observation(gaussian_64x128):
