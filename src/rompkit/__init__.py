@@ -18,7 +18,6 @@ from .bench import (
 from .ensembles import EnsembleSpec, RicEstimate, build_matrix, probe_ric
 from .linalg import RankDeficiencyError, least_squares
 from .recovery import (
-    RecoveryOptions,
     RecoveryResult,
     identify,
     omp_recover,
@@ -35,7 +34,6 @@ __all__ = [
     "EnsembleSpec",
     "NoiseSpec",
     "RankDeficiencyError",
-    "RecoveryOptions",
     "RecoveryResult",
     "RicEstimate",
     "SignalSpec",

@@ -11,18 +11,13 @@ formatting, making the CSV byte-stable under a fixed master seed.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, build_matrix
 from .linalg import RankDeficiencyError
-from .recovery import (
-    RecoveryOptions,
-    omp_recover,
-    romp_recover,
-    verify_iteration_invariants,
-)
+from .recovery import omp_recover, romp_recover, verify_iteration_invariants
 from .rng import derive_seed
 from .signals import (
     NOISE_TARGETS,
@@ -268,10 +263,9 @@ def run_trial_detailed(config, algo, sparsity, measurements, trial, matrix=None)
         norm_e = float(np.linalg.norm(noise))
 
     recover = romp_recover if algo == "romp" else omp_recover
-    options = RecoveryOptions(trace=config.trace)
     result = None
     try:
-        result = recover(matrix, measured, sparsity, options)
+        result = recover(matrix, measured, sparsity, trace=config.trace)
         estimate = result.estimate
         iterations = result.iterations
         termination = result.termination
@@ -398,37 +392,21 @@ def _csv_value(value):
     return str(value)
 
 
-def write_trials_csv(path, records):
+def _write_csv(path, header, rows):
+    """One CSV line per dataclass in ``rows``, its fields in declaration order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_CSV_HEADER.split(","))
-        for r in records:
-            writer.writerow(
-                _csv_value(v)
-                for v in (
-                    r.algo, r.measurements, r.dim, r.sparsity, r.trial, r.seed,
-                    r.sigma, r.noise_target, r.norm_e, r.err2, r.err2_2n, r.tail1,
-                    r.ratio_meas, r.ratio_sig, r.iterations, r.support_hit,
-                    r.termination,
-                )
-            )
+        writer.writerow(header.split(","))
+        for row in rows:
+            writer.writerow(_csv_value(getattr(row, f.name)) for f in fields(row))
+
+
+def write_trials_csv(path, records):
+    _write_csv(path, TRIAL_CSV_HEADER, records)
 
 
 def write_aggregates_csv(path, cells):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_CSV_HEADER.split(","))
-        for c in cells:
-            writer.writerow(
-                _csv_value(v)
-                for v in (
-                    c.algo, c.measurements, c.dim, c.sparsity, c.trials,
-                    c.err2_mean, c.err2_median, c.ratio_meas_mean,
-                    c.ratio_meas_median, c.ratio_meas_q90, c.ratio_sig_mean,
-                    c.ratio_sig_median, c.ratio_sig_q90, c.support_hit_mean,
-                    c.iterations_mean, c.failures,
-                )
-            )
+    _write_csv(path, AGGREGATE_CSV_HEADER, cells)
 
 
 def aggregates_path(csv_path):

@@ -8,8 +8,7 @@ import numpy as np
 from . import textio
 from .bench import ALGORITHMS, SweepConfig, aggregates_path, run_sweep
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, build_matrix, probe_ric
-from .linalg import RankDeficiencyError
-from .recovery import RecoveryOptions, omp_recover, romp_recover
+from .recovery import omp_recover, romp_recover
 from .signals import NOISE_TARGETS, SIGNAL_KINDS
 
 __all__ = ["main"]
@@ -80,7 +79,7 @@ def cmd_recover(args):
     matrix = textio.read_matrix(args.matrix)
     observation = textio.read_vector(args.observation)
     recover = romp_recover if args.algo == "romp" else omp_recover
-    result = recover(matrix, observation, args.sparsity, RecoveryOptions(trace=args.trace))
+    result = recover(matrix, observation, args.sparsity, trace=args.trace)
     if args.trace:
         for k, state in enumerate(result.trace):
             print(
@@ -165,7 +164,7 @@ def main(argv=None):
     handlers = {"recover": cmd_recover, "sweep": cmd_sweep, "ric-probe": cmd_ric_probe}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, RankDeficiencyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,6 @@ inputs.
 """
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RankDeficiencyError",
@@ -79,4 +78,6 @@ def least_squares(a, x):
     rank = int(np.count_nonzero(diag >= RANK_CUTOFF_RATIO * dmax)) if dmax > 0.0 else 0
     if rank < a.shape[1]:
         raise RankDeficiencyError(rank, a.shape)
-    return scipy.linalg.solve_triangular(r, q.T @ x, lower=False)
+    # R is upper triangular with a nonzero diagonal, so LU with partial
+    # pivoting swaps no rows and leaves U = R: this is a back-substitution.
+    return np.linalg.solve(r, q.T @ x)

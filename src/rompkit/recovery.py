@@ -26,7 +26,6 @@ __all__ = [
     "ZERO_OBSERVATION",
     "ZERO_RESIDUAL",
     "TERMINATIONS",
-    "RecoveryOptions",
     "IterationState",
     "RecoveryResult",
     "identify",
@@ -50,13 +49,6 @@ ORTHOGONALITY_TOL = 1e-8
 # Relative stopping tolerance: iteration stops once the residual norm falls
 # below ``RESIDUAL_TOL * ||x||_2`` (termination ``zero-residual``).
 RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RecoveryOptions:
-    """Options shared by both recovery algorithms."""
-
-    trace: bool = False
 
 
 @dataclass
@@ -123,7 +115,10 @@ def regularize(observation, candidates):
     magnitudes = magnitudes[keep]
     # descending magnitude, ties toward lower index
     order = np.argsort(-magnitudes, kind="stable")
-    sorted_mags = magnitudes[order]
+    # Scale by a power of two so the largest magnitude lies in [1/2, 1):
+    # window energies can then neither overflow nor all underflow to zero,
+    # and the scaling is exact, so it never changes which window wins.
+    sorted_mags = np.ldexp(magnitudes[order], -math.frexp(float(magnitudes[order[0]]))[1])
     best_energy = -1.0
     best_window = (0, 0)
     hi = 0
@@ -169,13 +164,12 @@ def _omp_rule(observation, sparsity):
     return picked, picked
 
 
-def _pursue(select, matrix, measurements, sparsity, options):
+def _pursue(select, matrix, measurements, sparsity, trace):
     """The greedy loop shared by ROMP and OMP; ``select`` is the selection rule.
 
     ``select(observation, sparsity)`` returns ``(candidates, selected)``, both
     empty exactly when the observation vanishes.
     """
-    opts = options or RecoveryOptions()
     a, x = _validated_inputs(matrix, measurements, sparsity)
     # Work on x scaled by a power of two so that max|x| lies in [1/2, 1):
     # norms and regularization energies cannot overflow at any finite input
@@ -188,7 +182,7 @@ def _pursue(select, matrix, measurements, sparsity, options):
     support = np.empty(0, dtype=np.int64)
     residual = x
     estimate = np.zeros(a.shape[1])
-    trace = []
+    states = []
     iterations = 0
     termination = None
 
@@ -213,8 +207,8 @@ def _pursue(select, matrix, measurements, sparsity, options):
         # The support only grows, so this overwrites every earlier coefficient.
         estimate[support] = coeffs
         iterations += 1
-        if opts.trace:
-            trace.append(
+        if trace:
+            states.append(
                 IterationState(
                     support=support.copy(),
                     candidates=candidates,
@@ -236,11 +230,11 @@ def _pursue(select, matrix, measurements, sparsity, options):
         support=support,
         iterations=iterations,
         termination=termination,
-        trace=trace,
+        trace=states,
     )
 
 
-def romp_recover(matrix, measurements, sparsity, options=None):
+def romp_recover(matrix, measurements, sparsity, trace=False):
     """Regularized orthogonal matching pursuit.
 
     Parameters
@@ -251,7 +245,8 @@ def romp_recover(matrix, measurements, sparsity, options=None):
         Observed vector ``Phi @ v + e``.
     sparsity : int
         Target sparsity level n; also the per-iteration candidate budget.
-    options : RecoveryOptions, optional
+    trace : bool, optional
+        Record an :class:`IterationState` per iteration in ``result.trace``.
 
     Runs at most ``sparsity`` iterations, stopping early once the selected
     index set reaches ``2 * sparsity`` indices, the observation vector
@@ -267,17 +262,17 @@ def romp_recover(matrix, measurements, sparsity, options=None):
     at sane sparsity levels signals a measurement matrix far from the
     isometry regime the algorithm expects.
     """
-    return _pursue(_romp_rule, matrix, measurements, sparsity, options)
+    return _pursue(_romp_rule, matrix, measurements, sparsity, trace)
 
 
-def omp_recover(matrix, measurements, sparsity, options=None):
+def omp_recover(matrix, measurements, sparsity, trace=False):
     """Plain orthogonal matching pursuit baseline.
 
     Same contract as :func:`romp_recover` but each iteration selects exactly
     one coordinate, the largest correlation magnitude, for ``sparsity``
     iterations; the ``2 * sparsity`` support budget is never reached.
     """
-    return _pursue(_omp_rule, matrix, measurements, sparsity, options)
+    return _pursue(_omp_rule, matrix, measurements, sparsity, trace)
 
 
 def energy_floor(sparsity):
@@ -285,7 +280,7 @@ def energy_floor(sparsity):
     return 1.0 / (REGULARIZATION_ENERGY_FACTOR * math.sqrt(max(math.log(sparsity), 1.0)))
 
 
-def verify_iteration_invariants(matrix, measurements, sparsity, result, orth_tol=ORTHOGONALITY_TOL):
+def verify_iteration_invariants(matrix, measurements, sparsity, result):
     """Check every per-iteration invariant on a traced recovery run.
 
     Returns a list of human-readable violation strings (empty when clean):
@@ -331,10 +326,10 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result, orth_tol
         if np.setdiff1d(state.support, np.union1d(previous, state.selected)).size:
             violations.append(f"iter {k}: support grew by more than the selected set")
         back_correlation = np.abs(a.T @ state.residual)
-        if back_correlation[state.support].max() > orth_tol * norm_x:
+        if back_correlation[state.support].max() > ORTHOGONALITY_TOL * norm_x:
             violations.append(
                 f"iter {k}: residual not orthogonal to selected columns "
-                f"({back_correlation[state.support].max():.3e} > {orth_tol * norm_x:.3e})"
+                f"({back_correlation[state.support].max():.3e} > {ORTHOGONALITY_TOL * norm_x:.3e})"
             )
         previous = state.support
     return violations

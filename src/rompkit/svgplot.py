@@ -23,13 +23,14 @@ def _fmt(value):
     return text
 
 
-def line_plot(series, title="", x_label="", y_label="", width=720, height=480):
-    """Render ``series`` as an SVG string.
+def line_plot(series, title="", x_label="", y_label=""):
+    """Render ``series`` as a 720x480 SVG string.
 
     series : list of (label, points) where points is a list of (x, y) pairs;
              points with a None y are skipped.
     """
     margin_left, margin_right, margin_top, margin_bottom = 70, 160, 48, 56
+    width, height = 720, 480
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rompkit.ensembles import EnsembleSpec, build_matrix
 from rompkit.linalg import RankDeficiencyError
 from rompkit.recovery import (
-    RecoveryOptions,
     energy_floor,
     identify,
     omp_recover,
@@ -95,21 +94,43 @@ def test_regularize_rejects_empty_or_zero():
         regularize(np.zeros(3), [0, 1])
 
 
-@settings(max_examples=250, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_regularize_matches_brute_force(seed):
+def random_candidates(seed):
+    """Up to 8 signed nonzero entries of a length-20 observation, and their positions."""
     rng = substream(seed)
     size = int(rng.integers(1, 9))
     dim = 20
     positions = np.sort(rng.choice(dim, size=size, replace=False))
     u = np.zeros(dim)
     u[positions] = rng.uniform(0.05, 20.0, size=size) * (rng.integers(0, 2, size=size) * 2 - 1)
+    return u, positions
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_regularize_matches_brute_force(seed):
+    u, positions = random_candidates(seed)
+    size = positions.size
     chosen = regularize(u, positions)
     mags = np.abs(u[chosen])
     assert mags.max() <= 2.0 * mags.min()
     best, best_sets = brute_force_regularize(u, positions.tolist())
     assert frozenset(int(i) for i in chosen) in best_sets
     assert np.linalg.norm(u[chosen]) >= energy_floor(size) * np.linalg.norm(u[positions])
+
+
+@pytest.mark.parametrize("k", [0, -1000, 1000, -1070])
+def test_regularize_window_at_extreme_scales(k):
+    # Five comparable 4.9s outweigh the lone 10 (120.05 > 100) at any scale,
+    # including where squared magnitudes overflow or underflow.
+    u = np.ldexp([10.0, 4.9, 4.9, 4.9, 4.9, 4.9], k)
+    assert np.array_equal(regularize(u, np.arange(6)), [1, 2, 3, 4, 5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(-1000, 1000))
+def test_regularize_invariant_under_power_of_two_scaling(seed, k):
+    u, positions = random_candidates(seed)
+    assert np.array_equal(regularize(np.ldexp(u, k), positions), regularize(u, positions))
 
 
 # ------------------------------------------------------------ romp_recover
@@ -131,7 +152,7 @@ def test_romp_noiseless_two_spikes_exact(gaussian_64x128):
     v = np.zeros(128)
     v[[10, 90]] = 1.0
     x = gaussian_64x128 @ v
-    result = romp_recover(gaussian_64x128, x, 2, RecoveryOptions(trace=True))
+    result = romp_recover(gaussian_64x128, x, 2, trace=True)
     assert np.linalg.norm(result.estimate - v) <= 1e-6
     assert np.all(np.isin([10, 90], result.support))
     # exactness double-checked through the measurement residual
@@ -156,7 +177,7 @@ def test_romp_trace_invariants_on_noisy_runs(gaussian_64x128):
         v = np.zeros(128)
         v[rng.choice(128, size=4, replace=False)] = rng.standard_normal(4)
         x = gaussian_64x128 @ v + 0.02 * rng.standard_normal(64)
-        result = romp_recover(gaussian_64x128, x, 4, RecoveryOptions(trace=True))
+        result = romp_recover(gaussian_64x128, x, 4, trace=True)
         assert verify_iteration_invariants(gaussian_64x128, x, 4, result) == []
         assert result.iterations <= 4
         assert result.support.size <= 12
@@ -167,7 +188,7 @@ def test_romp_support_monotone_and_disjoint(gaussian_64x128):
     v = np.zeros(128)
     v[rng.choice(128, size=6, replace=False)] = 1.0
     x = gaussian_64x128 @ v + 0.05 * rng.standard_normal(64)
-    result = romp_recover(gaussian_64x128, x, 6, RecoveryOptions(trace=True))
+    result = romp_recover(gaussian_64x128, x, 6, trace=True)
     previous = np.empty(0, dtype=np.int64)
     for state in result.trace:
         assert np.intersect1d(state.selected, previous).size == 0
@@ -231,8 +252,8 @@ def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, no
     v[rng.choice(128, size=4, replace=False)] = rng.standard_normal(4)
     x = gaussian_64x128 @ v + noise * rng.standard_normal(64)
     for recover in (romp_recover, omp_recover):
-        base = recover(gaussian_64x128, x, 4, RecoveryOptions(trace=True))
-        scaled = recover(gaussian_64x128, np.ldexp(x, k), 4, RecoveryOptions(trace=True))
+        base = recover(gaussian_64x128, x, 4, trace=True)
+        scaled = recover(gaussian_64x128, np.ldexp(x, k), 4, trace=True)
         assert np.array_equal(scaled.support, base.support)
         assert (scaled.iterations, scaled.termination) == (base.iterations, base.termination)
         assert np.array_equal(scaled.estimate, np.ldexp(base.estimate, k))
@@ -275,7 +296,7 @@ def test_omp_selects_one_index_per_iteration(gaussian_64x128):
     v = np.zeros(128)
     v[rng.choice(128, size=5, replace=False)] = rng.standard_normal(5)
     x = gaussian_64x128 @ v + 0.01 * rng.standard_normal(64)
-    result = omp_recover(gaussian_64x128, x, 5, RecoveryOptions(trace=True))
+    result = omp_recover(gaussian_64x128, x, 5, trace=True)
     for k, state in enumerate(result.trace):
         assert state.selected.size == 1
         assert state.support.size == k + 1
