@@ -19,9 +19,8 @@ import numpy as np
 from .bench import (
     SweepConfig,
     aggregates_path,
-    build_cell_matrix,
+    run_cell,
     run_sweep,
-    run_trial_detailed,
     truncation_inequality_slack,
 )
 from .ensembles import probe_ric
@@ -57,19 +56,6 @@ class CriterionOutcome:
         return f"ACCEPTANCE {self.number} [{status}] {self.name}: {self.detail}"
 
 
-def _run_cell(config, sparsity, measurements):
-    """All trials of one traced cell, as TrialOutcome objects."""
-    matrix = None
-    if not config.fresh_matrix_per_trial:
-        matrix = build_cell_matrix(config, sparsity, measurements)
-    outcomes = []
-    for trial in range(config.trials):
-        outcomes.append(
-            run_trial_detailed(config, config.algorithms[0], sparsity, measurements, trial, matrix=matrix)
-        )
-    return outcomes
-
-
 def criterion_noiseless_exact():
     """1: noiseless runs reconstruct exactly in at least 95 of 100 trials."""
     start = time.monotonic()
@@ -82,7 +68,7 @@ def criterion_noiseless_exact():
         seed=SEED_NOISELESS,
         trace=True,
     )
-    outcomes = _run_cell(config, 8, 128)
+    outcomes = list(run_cell(config, "romp", 8, 128))
     rel_errors = [
         o.record.err2 / np.linalg.norm(o.signal) for o in outcomes
     ]
@@ -107,7 +93,7 @@ def criterion_measurement_noise():
         seed=SEED_MEASUREMENT_NOISE,
         trace=True,
     )
-    outcomes = _run_cell(config, 4, 160)
+    outcomes = list(run_cell(config, "romp", 4, 160))
     ratios = [o.record.ratio_meas for o in outcomes]
     worst = max(ratios)
     median = float(np.median(ratios))
@@ -133,7 +119,7 @@ def criterion_signal_tail():
         seed=SEED_SIGNAL_TAIL,
         trace=True,
     )
-    outcomes = _run_cell(config, 8, 160)
+    outcomes = list(run_cell(config, "romp", 8, 160))
     ratios = [o.record.ratio_sig for o in outcomes]
     worst = max(ratios)
     passed = worst <= SIGNAL_TAIL_CEILING

@@ -3,10 +3,12 @@
 A sweep covers a grid of (algorithm, sparsity, measurement count) cells at a
 fixed ambient dimension.  Within a cell one measurement matrix is shared by
 all trials (the default; ``fresh_matrix_per_trial`` flips this) while signal
-and noise come from per-trial streams, so any single trial can be reproduced
-in isolation from its recorded seed.  Rows are emitted in deterministic
-(cell, trial) order and floats are serialized with shortest round-trip
-formatting, making the CSV byte-stable under a fixed master seed.
+and noise come from per-trial streams.  A row's recorded seed fixes its
+signal and noise; its matrix comes from the master seed and the cell (and
+the trial, with fresh matrices), so replaying one trial takes the sweep's
+config plus the row's cell and trial index.  Rows are emitted in
+deterministic (cell, trial) order and floats are serialized with shortest
+round-trip formatting, making the CSV byte-stable under a fixed master seed.
 """
 
 import csv
@@ -15,14 +17,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, build_matrix
+from .ensembles import EnsembleSpec, build_matrix
 from .linalg import RankDeficiencyError
 from .recovery import omp_recover, romp_recover, verify_iteration_invariants
 from .rng import derive_seed
 from .signals import (
-    NOISE_TARGETS,
     POWER_LAW,
-    SIGNAL_KINDS,
     NoiseSpec,
     SignalSpec,
     add_noise,
@@ -41,7 +41,7 @@ __all__ = [
     "SweepConfig",
     "SweepReport",
     "run_trial",
-    "run_trial_detailed",
+    "run_cell",
     "run_sweep",
     "aggregate_records",
     "write_trials_csv",
@@ -142,6 +142,10 @@ class SweepConfig:
     sigma = 0.1 * ||Phi v||_2 / sqrt(k) with k the noise dimension (N for
     measurement noise, d for signal noise), so the realized noise norm is
     about a tenth of the clean measurement norm.
+
+    Construction checks the whole grid: it builds the noise spec, one
+    ensemble spec per N and one signal spec per n, so an invalid cell raises
+    ``ValueError`` here, before a sweep opens any output file.
     """
 
     dim: int
@@ -169,27 +173,18 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if not self.sparsities or not self.measurement_counts:
             raise ValueError("sparsities and measurement_counts must be nonempty")
+        for algo in self.algorithms:
+            if algo not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {algo!r}")
         for n in self.sparsities:
             if n < 1:
                 raise ValueError("sparsity levels must be positive")
             if 3 * n > self.dim:
                 raise ValueError(f"sparsity {n} too large: need 3*n <= dim = {self.dim}")
+            _signal_spec(self, n, self.seed)
         for m in self.measurement_counts:
-            if not 1 <= m <= self.dim:
-                raise ValueError(f"measurement count {m} must be in [1, dim = {self.dim}]")
-        if self.ensemble not in ENSEMBLE_KINDS:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.signal_kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.signal_kind!r}")
-        if self.noise_target not in NOISE_TARGETS:
-            raise ValueError(f"unknown noise target {self.noise_target!r}")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            EnsembleSpec(kind=self.ensemble, rows=m, cols=self.dim, seed=self.seed)
+        NoiseSpec(self.noise_target, self.sigma or 0.0, self.seed)
 
 
 @dataclass
@@ -229,8 +224,8 @@ def build_cell_matrix(config, sparsity, measurements, trial=0):
     return build_matrix(spec)
 
 
-def run_trial_detailed(config, algo, sparsity, measurements, trial, matrix=None):
-    """Run one trial and keep the vectors around.
+def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
+    """Run one trial; the TrialOutcome keeps the vectors behind its record.
 
     The trial is fully determined by (config.seed, cell, trial): the signal
     and noise streams are derived from the recorded per-trial seed.  A
@@ -276,16 +271,6 @@ def run_trial_detailed(config, algo, sparsity, measurements, trial, matrix=None)
         termination = RANK_DEFICIENT
         found = np.empty(0, dtype=np.int64)
 
-    if config.trace and result is not None:
-        problems = verify_iteration_invariants(matrix, measured, sparsity, result)
-        if truncation_inequality_slack(signal, estimate, sparsity) > 1e-10:
-            problems.append("truncation inequality violated")
-        if problems:
-            raise RuntimeError(
-                f"iteration invariants violated in cell (algo={algo}, n={sparsity}, "
-                f"N={measurements}, trial={trial}): " + "; ".join(problems)
-            )
-
     err2 = float(np.linalg.norm(estimate - signal))
     top_2n = best_m_term(signal, 2 * sparsity)
     err2_2n = float(np.linalg.norm(estimate - top_2n))
@@ -323,9 +308,13 @@ def run_trial_detailed(config, algo, sparsity, measurements, trial, matrix=None)
     )
 
 
-def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
-    """Like :func:`run_trial_detailed` but returns only the TrialRecord."""
-    return run_trial_detailed(config, algo, sparsity, measurements, trial, matrix).record
+def run_cell(config, algo, sparsity, measurements):
+    """Yield the TrialOutcome of each trial of one cell, in trial order."""
+    matrix = None
+    if not config.fresh_matrix_per_trial:
+        matrix = build_cell_matrix(config, sparsity, measurements)
+    for trial in range(config.trials):
+        yield run_trial(config, algo, sparsity, measurements, trial, matrix=matrix)
 
 
 def _quantiles(values):
@@ -453,6 +442,9 @@ def run_sweep(config):
     count, trial) order.  The trial CSV follows ``TRIAL_CSV_HEADER``; the
     aggregate table goes to a sibling ``.agg.csv`` file.  Output paths are
     opened before any computation so an unwritable destination fails fast.
+    With ``config.trace`` every completed recovery must pass
+    :func:`verify_iteration_invariants` and the truncation inequality, or
+    the sweep raises ``RuntimeError`` naming the cell.
     """
     sinks = []
     try:
@@ -469,13 +461,23 @@ def run_sweep(config):
     for algo in config.algorithms:
         for n in config.sparsities:
             for measurements in config.measurement_counts:
-                cell_matrix = None
-                if not config.fresh_matrix_per_trial:
-                    cell_matrix = build_cell_matrix(config, n, measurements)
-                for trial in range(config.trials):
-                    records.append(
-                        run_trial(config, algo, n, measurements, trial, matrix=cell_matrix)
-                    )
+                for outcome in run_cell(config, algo, n, measurements):
+                    if config.trace and outcome.result is not None:
+                        problems = verify_iteration_invariants(
+                            outcome.matrix, outcome.measured, n, outcome.result
+                        )
+                        if truncation_inequality_slack(outcome.signal, outcome.estimate, n) > 1e-10:
+                            problems.append("truncation inequality violated")
+                        if problems:
+                            raise RuntimeError(
+                                f"iteration invariants violated in cell (algo={algo}, n={n}, "
+                                f"N={measurements}, trial={outcome.record.trial}): "
+                                + "; ".join(problems)
+                            )
+                    records.append(outcome.record)
+                    # Drop the outcome (and a fresh matrix with it) before the
+                    # next trial builds its own, so two never coexist.
+                    del outcome
     cells = aggregate_records(records)
     if config.csv_path:
         write_trials_csv(config.csv_path, records)

@@ -197,6 +197,10 @@ def _pursue(select, matrix, measurements, sparsity, trace):
         if selected.size == 0:
             termination = ZERO_OBSERVATION
             break
+        if support.size + selected.size > a.shape[0]:
+            # More columns than rows can never be refit; stop on the last fit.
+            termination = SUPPORT_BUDGET
+            break
         support = np.sort(np.concatenate((support, selected)))
         columns = a[:, support]
         try:
@@ -251,6 +255,9 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     Runs at most ``sparsity`` iterations, stopping early once the selected
     index set reaches ``2 * sparsity`` indices, the observation vector
     vanishes, or the residual norm drops below ``RESIDUAL_TOL * ||x||_2``.
+    It also stops, with termination ``support-budget``, when the next
+    selection would take the support past N, the number of rows: the result
+    is then the previous iteration's fit.
     Each iteration correlates the residual against all columns, keeps the
     largest ``sparsity`` nonzero coordinates, reduces them to the
     maximal-energy comparable subset, and refits least squares on everything
@@ -258,9 +265,9 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     zero-padded to R^d.
 
     Raises :class:`RankDeficiencyError` (with the offending index set
-    attached) when the selected columns become numerically dependent, which
-    at sane sparsity levels signals a measurement matrix far from the
-    isometry regime the algorithm expects.
+    attached) when the selected columns, never more than N of them, are
+    numerically dependent, which at sane sparsity levels signals a
+    measurement matrix far from the isometry regime the algorithm expects.
     """
     return _pursue(_romp_rule, matrix, measurements, sparsity, trace)
 
@@ -270,7 +277,8 @@ def omp_recover(matrix, measurements, sparsity, trace=False):
 
     Same contract as :func:`romp_recover` but each iteration selects exactly
     one coordinate, the largest correlation magnitude, for ``sparsity``
-    iterations; the ``2 * sparsity`` support budget is never reached.
+    iterations; the ``2 * sparsity`` support budget is never reached, and
+    the N-row stop only when ``sparsity`` exceeds N.
     """
     return _pursue(_omp_rule, matrix, measurements, sparsity, trace)
 

@@ -6,6 +6,7 @@ per criterion; ``python -m rompkit.acceptance`` prints the same report.
 
 import pytest
 
+from rompkit import acceptance, bench
 from rompkit.acceptance import run_acceptance
 
 
@@ -54,3 +55,17 @@ def test_criterion_8_figure_shape(outcomes):
 
 def test_criterion_9_sweep_determinism(outcomes):
     _check(outcomes, 9)
+
+
+def test_invariant_violation_fails_criterion_6_instead_of_raising(monkeypatch):
+    # Criteria 1-3 only record their traced runs; criterion 6 is the one
+    # place that judges them, so a violation must show up there as FAIL.
+    def planted(*args):
+        return ["planted violation"]
+
+    monkeypatch.setattr(bench, "verify_iteration_invariants", planted)
+    monkeypatch.setattr(acceptance, "verify_iteration_invariants", planted)
+    _, outcomes = acceptance.criterion_noiseless_exact()
+    verdict = acceptance.criterion_iteration_invariants(outcomes)
+    assert not verdict.passed
+    assert "planted violation" in verdict.detail

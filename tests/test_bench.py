@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from rompkit import bench
 from rompkit.bench import (
     AGGREGATE_CSV_HEADER,
     TRIAL_CSV_HEADER,
@@ -13,10 +14,10 @@ from rompkit.bench import (
     build_cell_matrix,
     run_sweep,
     run_trial,
-    run_trial_detailed,
     truncated_error,
     truncation_inequality_slack,
 )
+from rompkit.recovery import verify_iteration_invariants
 from rompkit.rng import substream
 
 
@@ -59,11 +60,24 @@ def test_config_rejects_unknown_algorithm():
         small_config(algorithms=("lasso",))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(ensemble="partial-fourier-real", measurement_counts=(32, 33)),
+        dict(signal_kind="power-law", power_exponent=0.5),
+    ],
+    ids=["partial-fourier-odd-rows", "power-law-exponent-below-one"],
+)
+def test_config_rejects_cells_its_specs_reject(overrides):
+    with pytest.raises(ValueError):
+        small_config(**overrides)
+
+
 # ------------------------------------------------------------------ trials
 
 def test_noiseless_trial_recovers_exactly():
     config = small_config(sigma=0.0, trials=1)
-    record = run_trial(config, "romp", 2, 32, 0)
+    record = run_trial(config, "romp", 2, 32, 0).record
     assert record.err2 <= 1e-6
     assert record.support_hit == 1.0
     assert record.norm_e == 0.0
@@ -74,14 +88,14 @@ def test_noiseless_trial_recovers_exactly():
 
 def test_trial_deterministic_given_cell_and_index():
     config = small_config()
-    a = run_trial(config, "romp", 2, 32, 1)
-    b = run_trial(config, "romp", 2, 32, 1)
+    a = run_trial(config, "romp", 2, 32, 1).record
+    b = run_trial(config, "romp", 2, 32, 1).record
     assert a == b
 
 
 def test_measurement_noise_trial_metrics():
     config = small_config(trials=1)  # sigma=None -> auto noise scale
-    record = run_trial(config, "romp", 2, 32, 0)
+    record = run_trial(config, "romp", 2, 32, 0).record
     assert record.norm_e > 0.0
     assert record.ratio_meas == record.err2 / record.norm_e
     assert record.sigma > 0.0
@@ -89,7 +103,7 @@ def test_measurement_noise_trial_metrics():
 
 def test_signal_noise_trial_metrics():
     config = small_config(noise_target="signal", trials=1)
-    record = run_trial(config, "romp", 2, 32, 0)
+    record = run_trial(config, "romp", 2, 32, 0).record
     # measurement error is zero by construction; the tail ratio is defined
     assert record.norm_e == 0.0
     assert record.ratio_meas is None
@@ -99,7 +113,7 @@ def test_signal_noise_trial_metrics():
 
 def test_power_law_trial_has_tail_ratio():
     config = small_config(signal_kind="power-law", sigma=0.0, trials=1)
-    record = run_trial(config, "romp", 2, 32, 0)
+    record = run_trial(config, "romp", 2, 32, 0).record
     assert record.tail1 > 0.0
     assert record.ratio_sig == record.err2_2n / (record.tail1 / np.sqrt(2))
 
@@ -117,9 +131,10 @@ def test_fresh_matrix_flag_changes_matrix():
 
 def test_traced_trial_keeps_invariants():
     config = small_config(trace=True, trials=1)
-    outcome = run_trial_detailed(config, "romp", 2, 32, 0)
+    outcome = run_trial(config, "romp", 2, 32, 0)
     assert outcome.result is not None
     assert len(outcome.result.trace) == outcome.record.iterations
+    assert verify_iteration_invariants(outcome.matrix, outcome.measured, 2, outcome.result) == []
 
 
 # ------------------------------------------------------------------ sweeps
@@ -197,6 +212,12 @@ def test_sweep_svg_output(tmp_path):
     root = ET.parse(svg_path).getroot()
     polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
     assert len(polylines) == 2  # one per sparsity level
+
+
+def test_traced_sweep_raises_on_violation_naming_the_cell(monkeypatch):
+    monkeypatch.setattr(bench, "verify_iteration_invariants", lambda *args: ["planted violation"])
+    with pytest.raises(RuntimeError, match=r"algo=romp, n=2, N=32, trial=0\): planted violation"):
+        run_sweep(small_config(trace=True))
 
 
 def test_unwritable_output_fails_before_compute(tmp_path):

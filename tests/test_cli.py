@@ -146,6 +146,24 @@ def test_sweep_rejects_bad_grid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--ensemble", "partial-fourier-real", "--measurements", "33"],
+        ["--signal", "power-law", "--exponent", "0.5"],
+    ],
+    ids=["partial-fourier-odd-rows", "power-law-exponent-below-one"],
+)
+def test_sweep_rejecting_grid_leaves_existing_csv(tmp_path, capsys, grid):
+    csv_path = tmp_path / "out.csv"
+    csv_path.write_bytes(b"precious\n")
+    code = cli.main(["sweep", *grid, "--sparsity", "4", "--trials", "2", "--csv", str(csv_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert csv_path.read_bytes() == b"precious\n"
+    assert not (tmp_path / "out.agg.csv").exists()
+
+
 def test_sweep_rejects_malformed_list():
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--measurements", "a,b"])

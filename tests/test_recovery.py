@@ -238,6 +238,20 @@ def test_romp_support_budget_termination():
     assert result.iterations <= 4
 
 
+def test_romp_stops_before_support_exceeds_rows():
+    # n = 6 on 8 rows: the second selection would refit more columns than
+    # rows, so the run ends on the first fit instead of raising.
+    phi = build_matrix(EnsembleSpec("gaussian", 8, 64, seed=3))
+    v = np.zeros(64)
+    v[[2, 9, 20, 33, 41, 60]] = [1.0, -0.5, 2.0, 0.7, -1.3, 0.9]
+    x = phi @ v
+    result = romp_recover(phi, x, 6, trace=True)
+    assert result.termination == "support-budget"
+    assert result.iterations >= 1
+    assert result.support.size <= 8
+    assert verify_iteration_invariants(phi, x, 6, result) == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
