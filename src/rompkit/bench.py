@@ -441,21 +441,21 @@ def run_sweep(config):
     Output rows appear in deterministic (algorithm, sparsity, measurement
     count, trial) order.  The trial CSV follows ``TRIAL_CSV_HEADER``; the
     aggregate table goes to a sibling ``.agg.csv`` file.  Output paths are
-    opened before any computation so an unwritable destination fails fast.
+    opened for appending before any computation, so an unwritable
+    destination fails fast, while existing files keep their contents until
+    the sweep has finished and overwrites them.
     With ``config.trace`` every completed recovery must pass
     :func:`verify_iteration_invariants` and the truncation inequality, or
     the sweep raises ``RuntimeError`` naming the cell.
     """
-    sinks = []
-    try:
-        if config.csv_path:
-            sinks.append(open(config.csv_path, "w", encoding="utf-8", newline=""))
-            sinks.append(open(aggregates_path(config.csv_path), "w", encoding="utf-8", newline=""))
-        if config.svg_path:
-            sinks.append(open(config.svg_path, "w", encoding="utf-8", newline="\n"))
-    finally:
-        for fh in sinks:
-            fh.close()
+    paths = []
+    if config.csv_path:
+        paths += [config.csv_path, aggregates_path(config.csv_path)]
+    if config.svg_path:
+        paths.append(config.svg_path)
+    for path in paths:
+        with open(path, "a", encoding="utf-8"):
+            pass
 
     records = []
     for algo in config.algorithms:

@@ -1,4 +1,8 @@
-"""Input validation and the least-squares refit used by the recovery loop.
+"""Input validation and the least-squares solver with its rank rule.
+
+The recovery loop keeps its own QR factor of the selected columns and hands
+only the small triangular system ``R y = Q^T x`` to :func:`least_squares`,
+so the rank rule is applied in one place.
 
 Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
 float64 arrays.  Everything here is a pure function; nothing mutates its

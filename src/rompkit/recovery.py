@@ -2,10 +2,15 @@
 
 Both algorithms recover an approximately sparse vector from measurements
 ``x = Phi @ v + e`` with one loop: correlate the residual against all
-columns, select new indices, and re-solve least squares on every column
+columns, select new indices, and refit least squares on every column
 selected so far.  Only the selection rule differs.  ROMP takes the ``n``
 largest correlations and keeps a whole batch of comparable ones (the
 regularization step); OMP picks one coordinate at a time.
+
+The refit never refactors the selected columns: the loop keeps a QR factor
+of them and extends it by the newly selected block each iteration, so an
+iteration costs one correlation, work proportional to the new columns and
+a solve of the small triangular system ``R y = Q^T x``.
 """
 
 import math
@@ -83,15 +88,26 @@ def identify(observation, sparsity):
 
     Returns all nonzero coordinates when there are fewer than ``sparsity`` of
     them, and an empty index set exactly when the observation is zero.  Ties
-    break toward lower indices.
+    break toward lower indices.  The indices come back sorted.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
-    u = np.asarray(observation, dtype=np.float64)
-    magnitudes = np.abs(u)
-    order = np.argsort(-magnitudes, kind="stable")
-    order = order[magnitudes[order] > 0.0]
-    return np.sort(order[:sparsity]).astype(np.int64)
+    magnitudes = np.abs(np.asarray(observation, dtype=np.float64))
+    if sparsity == 1:
+        # argmax returns the first of equal maxima, the same tie-break.
+        top = np.argmax(magnitudes)
+        return np.flatnonzero(magnitudes[top : top + 1]) + top
+    # cut is the sparsity-th largest magnitude: everything above it is in, and
+    # the lowest-index ties at cut fill the remaining slots.  A zero cut means
+    # fewer than ``sparsity`` nonzeros, all of which are in.
+    cut = 0.0
+    if sparsity < magnitudes.size:
+        cut = np.partition(magnitudes, magnitudes.size - sparsity)[magnitudes.size - sparsity]
+    keep = magnitudes > cut
+    if cut > 0.0:
+        ties = np.flatnonzero(magnitudes == cut)
+        keep[ties[: sparsity - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def regularize(observation, candidates):
@@ -169,8 +185,14 @@ def _pursue(select, matrix, measurements, sparsity, trace):
 
     ``select(observation, sparsity)`` returns ``(candidates, selected)``, both
     empty exactly when the observation vanishes.
+
+    The selected columns are kept as ``Phi[:, order[:k]] = Q R`` with ``Q``
+    orthonormal (stored as the rows of ``Q^T``) and ``R`` upper triangular,
+    in selection order, plus ``z = Q^T x``.  The least-squares residual is
+    then ``x - Q z`` and the coefficients solve the k x k problem ``R y = z``.
     """
     a, x = _validated_inputs(matrix, measurements, sparsity)
+    rows, dim = a.shape
     # Work on x scaled by a power of two so that max|x| lies in [1/2, 1):
     # norms and regularization energies cannot overflow at any finite input
     # scale, and the scaling is exact, so ordinary inputs give bit-identical
@@ -179,14 +201,23 @@ def _pursue(select, matrix, measurements, sparsity, trace):
     x = np.ldexp(x, -exponent)
     norm_x = np.linalg.norm(x)
 
+    # The support stays below 2n before a selection of at most n, and never
+    # exceeds the N rows, so min(N, 3n) columns always suffice.
+    capacity = min(rows, 3 * sparsity)
+    qt = np.empty((capacity, rows))
+    r = np.zeros((capacity, capacity))
+    z = np.empty(capacity)
+    order = np.empty(capacity, dtype=np.int64)
+    k = 0
+
     support = np.empty(0, dtype=np.int64)
     residual = x
-    estimate = np.zeros(a.shape[1])
+    estimate = np.zeros(dim)
     states = []
     iterations = 0
     termination = None
 
-    while iterations < sparsity and support.size < 2 * sparsity:
+    while iterations < sparsity and k < 2 * sparsity:
         correlation = a.T @ residual
         # In exact arithmetic the correlation vanishes on the selected set;
         # zero it explicitly so roundoff dust can never be re-selected.  That
@@ -197,24 +228,48 @@ def _pursue(select, matrix, measurements, sparsity, trace):
         if selected.size == 0:
             termination = ZERO_OBSERVATION
             break
-        if support.size + selected.size > a.shape[0]:
+        end = k + selected.size
+        if end > rows:
             # More columns than rows can never be refit; stop on the last fit.
             termination = SUPPORT_BUDGET
             break
-        support = np.sort(np.concatenate((support, selected)))
-        columns = a[:, support]
+        # Block classical Gram-Schmidt, applied twice so the new columns are
+        # orthogonal to Q to working precision; then factor the block itself.
+        block = a[:, selected]
+        if k:
+            basis = qt[:k]
+            coupling = basis @ block
+            block -= basis.T @ coupling
+            correction = basis @ block
+            block -= basis.T @ correction
+            r[:k, k:end] = coupling + correction
+        if selected.size == 1:
+            # One column's factor is its norm; np.linalg.qr would cost more in
+            # call overhead than the rest of a small iteration.  A zero norm
+            # is left for least_squares' rank rule to report.
+            r[k, k] = np.linalg.norm(block)
+            q_new = block / r[k, k] if r[k, k] > 0.0 else block
+        else:
+            q_new, r[k:end, k:end] = np.linalg.qr(block)
+        qt[k:end] = q_new.T
+        z[k:end] = q_new.T @ x
+        order[k:end] = selected
+        k = end
+        support = np.sort(order[:k])
+        # R is already triangular, so least_squares' own QR leaves it as it
+        # is, applies the rank rule to its diagonal and back-substitutes.
         try:
-            coeffs = least_squares(columns, x)
+            coeffs = least_squares(r[:k, :k], z[:k])
         except RankDeficiencyError as exc:
-            raise RankDeficiencyError(exc.numerical_rank, exc.shape, support=support.copy()) from exc
-        residual = x - columns @ coeffs
+            raise RankDeficiencyError(exc.numerical_rank, (rows, k), support=support) from exc
+        residual = x - z[:k] @ qt[:k]
         # The support only grows, so this overwrites every earlier coefficient.
-        estimate[support] = coeffs
+        estimate[order[:k]] = coeffs
         iterations += 1
         if trace:
             states.append(
                 IterationState(
-                    support=support.copy(),
+                    support=support,
                     candidates=candidates,
                     selected=selected,
                     correlation=np.ldexp(correlation, exponent),
@@ -227,7 +282,7 @@ def _pursue(select, matrix, measurements, sparsity, trace):
             break
 
     if termination is None:
-        termination = SUPPORT_BUDGET if support.size >= 2 * sparsity else MAX_ITERATIONS
+        termination = SUPPORT_BUDGET if k >= 2 * sparsity else MAX_ITERATIONS
 
     return RecoveryResult(
         estimate=np.ldexp(estimate, exponent),
@@ -261,13 +316,18 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     Each iteration correlates the residual against all columns, keeps the
     largest ``sparsity`` nonzero coordinates, reduces them to the
     maximal-energy comparable subset, and refits least squares on everything
-    selected so far.  The estimate is the final least-squares solution,
-    zero-padded to R^d.
+    selected so far.  The refit extends a QR factor of the selected columns
+    by the new ones (block Gram-Schmidt with one reorthogonalization pass)
+    instead of refactoring them all, then solves ``R y = Q^T x`` with
+    :func:`rompkit.linalg.least_squares`.  The estimate is the final
+    least-squares solution, zero-padded to R^d.
 
     Raises :class:`RankDeficiencyError` (with the offending index set
     attached) when the selected columns, never more than N of them, are
-    numerically dependent, which at sane sparsity levels signals a
-    measurement matrix far from the isometry regime the algorithm expects.
+    numerically dependent (the ``RANK_CUTOFF_RATIO`` rule that
+    :func:`rompkit.linalg.least_squares` applies to the diagonal of ``R``),
+    which at sane sparsity levels signals a measurement matrix far from the
+    isometry regime the algorithm expects.
     """
     return _pursue(_romp_rule, matrix, measurements, sparsity, trace)
 

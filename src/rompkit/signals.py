@@ -1,5 +1,6 @@
 """Test-signal generators, additive Gaussian noise, and m-term truncation."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.target not in NOISE_TARGETS:
             raise ValueError(f"noise target must be one of {NOISE_TARGETS}, got {self.target!r}")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError("sigma must be finite and non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

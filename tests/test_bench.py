@@ -220,7 +220,20 @@ def test_traced_sweep_raises_on_violation_naming_the_cell(monkeypatch):
         run_sweep(small_config(trace=True))
 
 
-def test_unwritable_output_fails_before_compute(tmp_path):
+def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, monkeypatch):
+    outputs = [tmp_path / "out.csv", tmp_path / "out.agg.csv", tmp_path / "plot.svg"]
+    for k, path in enumerate(outputs):
+        path.write_bytes(b"previous result %d\n" % k)
+    monkeypatch.setattr(bench, "verify_iteration_invariants", lambda *args: ["planted violation"])
+    config = small_config(trace=True, csv_path=str(outputs[0]), svg_path=str(outputs[2]))
+    with pytest.raises(RuntimeError, match="planted violation"):
+        run_sweep(config)
+    for k, path in enumerate(outputs):
+        assert path.read_bytes() == b"previous result %d\n" % k
+
+
+def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "run_cell", lambda *args: pytest.fail("sweep computed before failing"))
     bad = str(tmp_path / "missing-dir" / "out.csv")
     with pytest.raises(OSError):
         run_sweep(small_config(csv_path=bad))

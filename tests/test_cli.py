@@ -151,8 +151,9 @@ def test_sweep_rejects_bad_grid(capsys):
     [
         ["--ensemble", "partial-fourier-real", "--measurements", "33"],
         ["--signal", "power-law", "--exponent", "0.5"],
+        ["--sigma", "nan"],
     ],
-    ids=["partial-fourier-odd-rows", "power-law-exponent-below-one"],
+    ids=["partial-fourier-odd-rows", "power-law-exponent-below-one", "sigma-nan"],
 )
 def test_sweep_rejecting_grid_leaves_existing_csv(tmp_path, capsys, grid):
     csv_path = tmp_path / "out.csv"

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rompkit.ensembles import EnsembleSpec, build_matrix
-from rompkit.linalg import RankDeficiencyError
+from rompkit.linalg import RankDeficiencyError, least_squares
 from rompkit.recovery import (
     energy_floor,
     identify,
@@ -54,6 +54,27 @@ def test_identify_tie_break_low_index():
 
 def test_identify_zero_vector_empty():
     assert identify(np.zeros(5), 3).size == 0
+
+
+def identify_oracle(u, sparsity):
+    """Top ``sparsity`` nonzero magnitudes by a full stable sort, sorted by index."""
+    magnitudes = np.abs(u)
+    order = [i for i in np.argsort(-magnitudes, kind="stable") if magnitudes[i] > 0.0]
+    return sorted(order[:sparsity])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    sparsity=st.integers(1, 45),
+)
+@example(values=[0, -3, 1, 3, 0], sparsity=1)
+@example(values=[0, 0], sparsity=1)
+def test_identify_matches_stable_sort_oracle(values, sparsity):
+    # Small integers make ties and zeros common: ties must go to the lower
+    # index and zeros must never be chosen.
+    u = np.asarray(values, dtype=np.float64)
+    assert identify(u, sparsity).tolist() == identify_oracle(u, sparsity)
 
 
 def test_identify_rejects_bad_budget():
@@ -218,6 +239,68 @@ def test_romp_rank_deficiency_carries_support():
     assert set(info.value.support.tolist()) == {0, 1}
 
 
+def test_romp_rank_deficiency_across_iterations_carries_support():
+    # Orthonormal c0, c1, c3 and c2 = (c1 + 0.05 c0) / |.|.  Iteration 1
+    # selects c0 alone; then c1 and c2 have comparable correlations and are
+    # selected together, but c2 lies in the span of c0 (picked earlier) and c1.
+    basis, _ = np.linalg.qr(substream(8).standard_normal((8, 8)))
+    c0, c1, c3 = basis[:, 0], basis[:, 1], basis[:, 2]
+    c2 = (c1 + 0.05 * c0) / np.linalg.norm(c1 + 0.05 * c0)
+    fill = 1e-3 * basis[:, 3:5]
+    phi = np.column_stack([c0, c1, c2, c3, fill])
+    x = 10.0 * c0 + c1 + 0.5 * c3
+    with pytest.raises(RankDeficiencyError) as info:
+        romp_recover(phi, x, 2)
+    assert info.value.support.tolist() == [0, 1, 2]
+    assert info.value.numerical_rank == 2
+
+
+def nearly_parallel_columns(eps):
+    """Columns c0, c1 = (c0 + eps e1) / |.| and tiny fill; x = c0 + 1e-3 e1 is in their span.
+
+    OMP selects c1, then c0, which is numerically dependent on c1 once eps
+    falls below the rank cutoff.
+    """
+    e = np.linalg.qr(substream(8).standard_normal((8, 8)))[0].T
+    c1 = (e[0] + eps * e[1]) / np.linalg.norm(e[0] + eps * e[1])
+    phi = np.column_stack([e[0], c1, *(1e-12 * e[2:6])])
+    return phi, e[0] + 1e-3 * e[1]
+
+
+def test_omp_refit_keeps_residual_orthogonal_on_nearly_parallel_columns():
+    # Condition number ~1e7: one Gram-Schmidt pass would leave about 1e-9 |x|
+    # of x outside the fitted span; the reorthogonalization pass removes it.
+    phi, x = nearly_parallel_columns(1e-7)
+    result = omp_recover(phi, x, 2, trace=True)
+    assert result.termination == "zero-residual"
+    assert verify_iteration_invariants(phi, x, 2, result) == []
+
+
+def test_omp_rank_deficiency_on_later_dependent_column():
+    # The second column is judged against the first one's factor, not alone.
+    phi, x = nearly_parallel_columns(1e-12)
+    with pytest.raises(RankDeficiencyError) as info:
+        omp_recover(phi, x, 2)
+    assert info.value.support.tolist() == [0, 1]
+    assert info.value.numerical_rank == 1
+
+
+def test_omp_repeated_column_is_rank_deficiency():
+    # Column 1 repeats column 0.  Once column 0 is fit, roundoff can leave a
+    # nonzero correlation on column 1 alone.  If OMP then picks it, its part
+    # orthogonal to column 0 is zero or roundoff, which must surface as rank
+    # deficiency rather than as a division by zero.
+    c = np.array([1.0, 2.0, 3.0])
+    phi = np.zeros((3, 6))
+    phi[:, 0] = phi[:, 1] = c
+    try:
+        result = omp_recover(phi, c + np.array([1.0, 1.0, -1.0]), 2)
+    except RankDeficiencyError as exc:
+        assert exc.support.tolist() == [0, 1]
+    else:
+        assert result.termination == "zero-observation"
+
+
 def test_romp_zero_residual_stops_early(gaussian_64x128):
     v = np.zeros(128)
     v[3] = 2.0
@@ -275,6 +358,26 @@ def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, no
             assert np.array_equal(got.residual, np.ldexp(want.residual, k))
             assert np.array_equal(got.correlation, np.ldexp(want.correlation, k))
             assert np.array_equal(got.coefficients, np.ldexp(want.coefficients, k))
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial-fourier-real"])
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_every_iterate_matches_least_squares_reference(ensemble, recover):
+    # The loop extends its QR factor instead of refactoring; each traced
+    # estimate must still be the least-squares fit on that iteration's support.
+    phi = build_matrix(EnsembleSpec(ensemble, 64, 256, seed=11))
+    rng = substream(12)
+    v = np.zeros(256)
+    v[rng.choice(256, size=8, replace=False)] = rng.standard_normal(8)
+    x = phi @ v + 0.05 * rng.standard_normal(64)
+    result = recover(phi, x, 8, trace=True)
+    assert result.iterations >= 2
+    for state in result.trace:
+        reference = least_squares(phi[:, state.support], x)
+        got = state.coefficients[state.support]
+        assert np.linalg.norm(got - reference) <= 1e-10 * np.linalg.norm(reference)
+        assert np.count_nonzero(np.delete(state.coefficients, state.support)) == 0
+    assert np.array_equal(result.estimate, result.trace[-1].coefficients)
 
 
 # ------------------------------------------------------------- omp_recover
