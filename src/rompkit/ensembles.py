@@ -1,7 +1,7 @@
 """Random measurement-matrix ensembles and an empirical isometry probe.
 
 Matrices are scaled so that columns have unit Euclidean norm in expectation
-(exactly unit for the trigonometric ensemble), which is what makes a
+(unit up to roundoff for the trigonometric ensemble), which is what makes a
 restricted isometry constant in (0, 1) attainable at all.
 """
 
@@ -87,7 +87,15 @@ def build_matrix(spec):
     partial-fourier-real : N/2 frequencies drawn without replacement from
                            {1, ..., (d-1)//2}; each contributes a cosine row
                            and a sine row on d sample points, scaled by
-                           sqrt(2/N) so every column has unit norm
+                           sqrt(2/N) so every column has unit norm up to
+                           roundoff
+
+    The trigonometric entries depend only on the phase index
+    m = (f j) mod d, which is reduced exactly in integer arithmetic.  Cosine
+    and sine are evaluated once on the d angles 2 pi m / d, already scaled by
+    sqrt(2/N), and the rows are gathered from those two tables.  So no angle
+    is rounded before its reduction, and the build makes 2 d cosine and sine
+    evaluations instead of N d.
     """
     rng = substream(spec.seed)
     n_rows, dim = spec.rows, spec.cols
@@ -101,11 +109,15 @@ def build_matrix(spec):
     available = np.arange(1, (dim - 1) // 2 + 1)
     freqs = np.sort(rng.choice(available, size=n_pairs, replace=False))
     grid = np.arange(dim)
-    angles = 2.0 * np.pi * np.outer(freqs, grid) / dim
+    # phase[k, j] = (f_k * j) mod d, exact in int64 since f_k * j < d**2.
+    # Subtracting the floor quotient is about twice as fast as numpy's %.
+    phase = np.outer(freqs, grid)
+    phase -= phase // dim * dim
+    angles = 2.0 * np.pi * grid / dim
+    scale = np.sqrt(2.0 / n_rows)
     matrix = np.empty((n_rows, dim))
-    matrix[0::2] = np.cos(angles)
-    matrix[1::2] = np.sin(angles)
-    matrix *= np.sqrt(2.0 / n_rows)
+    matrix[0::2] = (scale * np.cos(angles))[phase]
+    matrix[1::2] = (scale * np.sin(angles))[phase]
     return matrix
 
 

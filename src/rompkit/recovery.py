@@ -117,7 +117,8 @@ def regularize(observation, candidates):
     candidate magnitudes in decreasing order, any comparable subset sits
     inside a contiguous window whose first entry is at most twice its last,
     and widening such a window only adds energy, so scanning the maximal
-    window at each start position finds the exact optimum.
+    window at each start position finds the exact optimum.  Starts whose
+    maximal windows share an end nest, so only the first of them is scored.
     """
     u = np.asarray(observation, dtype=np.float64)
     idx = np.asarray(candidates, dtype=np.int64)
@@ -135,19 +136,23 @@ def regularize(observation, candidates):
     # window energies can then neither overflow nor all underflow to zero,
     # and the scaling is exact, so it never changes which window wins.
     sorted_mags = np.ldexp(magnitudes[order], -math.frexp(float(magnitudes[order[0]]))[1])
+    # The window at start lo ends before the first entry j with
+    # sorted_mags[lo] > 2 sorted_mags[j]; doubling and negating are exact, so
+    # this bound compares the same values as the pairwise test.
+    ends = np.searchsorted(-2.0 * sorted_mags, -sorted_mags, side="right")
+    # Among equal energies the strict > keeps the earliest start.
     best_energy = -1.0
     best_window = (0, 0)
-    hi = 0
-    for lo in range(sorted_mags.size):
-        if hi < lo:
-            hi = lo
-        while hi + 1 < sorted_mags.size and sorted_mags[lo] <= 2.0 * sorted_mags[hi + 1]:
-            hi += 1
-        window = sorted_mags[lo : hi + 1]
+    previous_end = 0
+    for lo, end in enumerate(ends.tolist()):
+        if end == previous_end:
+            continue
+        previous_end = end
+        window = sorted_mags[lo:end]
         energy = float(np.dot(window, window))
         if energy > best_energy:
             best_energy = energy
-            best_window = (lo, hi + 1)
+            best_window = (lo, end)
     chosen = order[best_window[0] : best_window[1]]
     return np.sort(idx[chosen]).astype(np.int64)
 

@@ -150,13 +150,27 @@ def test_single_cell_single_trial_csv(tmp_path):
     assert len(lines) == 2
 
 
-def test_sweep_csv_deterministic(tmp_path):
+def assert_sweep_reruns_byte_identical(tmp_path, **overrides):
     paths = [str(tmp_path / f"run{i}.csv") for i in (1, 2)]
     blobs = []
     for path in paths:
-        run_sweep(small_config(csv_path=path, algorithms=("romp", "omp")))
+        run_sweep(small_config(csv_path=path, algorithms=("romp", "omp"), **overrides))
         blobs.append(open(path, "rb").read() + open(aggregates_path(path), "rb").read())
     assert blobs[0] == blobs[1]
+
+
+def test_sweep_csv_deterministic(tmp_path):
+    assert_sweep_reruns_byte_identical(tmp_path)
+
+
+def test_fresh_partial_fourier_sweep_csv_deterministic(tmp_path):
+    assert_sweep_reruns_byte_identical(
+        tmp_path,
+        ensemble="partial-fourier-real",
+        signal_kind="power-law",
+        noise_target="signal",
+        fresh_matrix_per_trial=True,
+    )
 
 
 def test_sweep_row_order_and_schema(tmp_path):

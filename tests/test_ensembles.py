@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rompkit.ensembles import EnsembleSpec, RicEstimate, build_matrix, probe_ric
+from rompkit.rng import substream
 
 
 def test_spec_rejects_more_rows_than_cols():
@@ -46,12 +47,28 @@ def test_partial_fourier_unit_columns():
     assert phi.shape == (64, 256)
 
 
-def test_build_matrix_deterministic():
-    spec = EnsembleSpec("gaussian", 32, 64, seed=77)
+@pytest.mark.parametrize("rows,dim", [(2, 5), (64, 256), (128, 509), (256, 512)])
+def test_partial_fourier_matches_direct_formula(rows, dim):
+    seed = 12
+    phi = build_matrix(EnsembleSpec("partial-fourier-real", rows, dim, seed=seed))
+    # The same substream draw that build_matrix makes for its frequencies.
+    available = np.arange(1, (dim - 1) // 2 + 1)
+    freqs = np.sort(substream(seed).choice(available, size=rows // 2, replace=False))
+    angles = 2.0 * np.pi * np.outer(freqs, np.arange(dim)) / dim
+    scale = np.sqrt(2.0 / rows)
+    assert np.max(np.abs(phi[0::2] - scale * np.cos(angles))) <= 1e-13
+    assert np.max(np.abs(phi[1::2] - scale * np.sin(angles))) <= 1e-13
+    assert np.all(phi[0::2, 0] == scale)
+    assert np.all(phi[1::2, 0] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "partial-fourier-real"])
+def test_build_matrix_deterministic(kind):
+    spec = EnsembleSpec(kind, 32, 64, seed=77)
     a = build_matrix(spec)
     b = build_matrix(spec)
     assert np.array_equal(a, b)
-    c = build_matrix(EnsembleSpec("gaussian", 32, 64, seed=78))
+    c = build_matrix(EnsembleSpec(kind, 32, 64, seed=78))
     assert not np.array_equal(a, c)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,53 @@ def test_regularize_matches_brute_force(seed):
     best, best_sets = brute_force_regularize(u, positions.tolist())
     assert frozenset(int(i) for i in chosen) in best_sets
     assert np.linalg.norm(u[chosen]) >= energy_floor(size) * np.linalg.norm(u[positions])
+
+
+def regularize_scan_oracle(u, candidates):
+    """Window scan that evaluates the maximal window at every start position."""
+    idx = np.asarray(candidates, dtype=np.int64)
+    magnitudes = np.abs(u[idx])
+    keep = magnitudes > 0.0
+    idx = idx[keep]
+    magnitudes = magnitudes[keep]
+    order = np.argsort(-magnitudes, kind="stable")
+    sorted_mags = np.ldexp(magnitudes[order], -math.frexp(float(magnitudes[order[0]]))[1])
+    best_energy = -1.0
+    best_window = (0, 0)
+    hi = 0
+    for lo in range(sorted_mags.size):
+        if hi < lo:
+            hi = lo
+        while hi + 1 < sorted_mags.size and sorted_mags[lo] <= 2.0 * sorted_mags[hi + 1]:
+            hi += 1
+        window = sorted_mags[lo : hi + 1]
+        energy = float(np.dot(window, window))
+        if energy > best_energy:
+            best_energy = energy
+            best_window = (lo, hi + 1)
+    return np.sort(idx[order[best_window[0] : best_window[1]]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(-9, 9), st.sampled_from([0, -1, -2, -1060, -1074])),
+        min_size=1,
+        max_size=60,
+    ).filter(lambda entries: any(m for m, _ in entries)),
+)
+@example(entries=[(5, 0), (2, 0), (1, 0), (0, 0), (2, 0)])
+@example(entries=[(8, 0), (4, 0), (4, 0), (2, 0), (2, 0), (2, 0), (1, 0)])
+# [4, 2] and [2, 1.5 x4, 1 x7] both have energy 20: the earlier start wins.
+@example(entries=[(4, 0), (2, 0)] + [(3, -1)] * 4 + [(1, 0)] * 7)
+def test_regularize_matches_scan_oracle(entries):
+    # Small integer mantissas make ties, zeros and exact factor-of-two
+    # boundaries common; the far exponents add entries that are subnormal,
+    # or flush to zero, after regularize's power-of-two scaling.
+    mantissas, exponents = zip(*entries)
+    u = np.ldexp(np.asarray(mantissas, dtype=np.float64), exponents)
+    positions = np.arange(u.size)
+    assert regularize(u, positions).tolist() == regularize_scan_oracle(u, positions).tolist()
 
 
 @pytest.mark.parametrize("k", [0, -1000, 1000, -1070])
