@@ -143,8 +143,9 @@ class SweepConfig:
     measurement noise, d for signal noise), so the realized noise norm is
     about a tenth of the clean measurement norm.
 
-    Construction checks the whole grid: it builds the noise spec, one
-    ensemble spec per N and one signal spec per n, so an invalid cell raises
+    Construction checks the whole grid: it rejects a repeated sparsity,
+    measurement count or algorithm and builds the noise spec, one ensemble
+    spec per N and one signal spec per n, so an invalid cell raises
     ``ValueError`` here, before a sweep opens any output file.
     """
 
@@ -173,6 +174,11 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if not self.sparsities or not self.measurement_counts:
             raise ValueError("sparsities and measurement_counts must be nonempty")
+        for name in ("sparsities", "measurement_counts", "algorithms"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} repeats {value!r}; each grid value runs once")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -231,8 +237,11 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
     and noise streams are derived from the recorded per-trial seed.  A
     recovery run that dies in the least-squares step (numerically dependent
     columns, i.e. far outside the isometry regime) is scored as a total miss:
-    zero estimate, termination ``rank-deficient``.
+    zero estimate, termination ``rank-deficient``.  ``algo`` must be one of
+    ``ALGORITHMS`` exactly; any other name raises ``ValueError``.
     """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     if matrix is None:
         matrix = build_cell_matrix(config, sparsity, measurements, trial)
     trial_seed = derive_seed(config.seed, _STREAM_TRIAL, measurements, sparsity, trial)

@@ -1,8 +1,8 @@
-"""Input validation and the least-squares solver with its rank rule.
+"""Input validation and the least-squares refit step with its rank rule.
 
-The recovery loop keeps its own QR factor of the selected columns and hands
-only the small triangular system ``R y = Q^T x`` to :func:`least_squares`,
-so the rank rule is applied in one place.
+The recovery loop keeps its own QR factor ``A = Q R`` of the selected
+columns; :func:`least_squares` takes ``R`` and ``Q^T x``, applies the rank
+rule to the diagonal of ``R`` and back-substitutes.  Nothing here factors.
 
 Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
 float64 arrays.  Everything here is a pure function; nothing mutates its
@@ -63,25 +63,23 @@ def as_vector(v):
     return a
 
 
-def least_squares(a, x):
-    """Minimize ``||x - A @ y||_2`` for a full-column-rank overdetermined A.
+def least_squares(r, qtx):
+    """Minimize ``||x - A @ y||_2`` by solving ``R y = Q^T x``, where A = QR.
 
-    Householder QR without column pivoting.  The residual of a successful
-    solve is orthogonal to the columns of ``A`` up to roundoff.  Raises
-    :class:`RankDeficiencyError` (carrying the detected numerical rank) when
-    the smallest diagonal magnitude of R drops below ``RANK_CUTOFF_RATIO``
-    times the largest, or when A has more columns than rows.
+    Raises :class:`RankDeficiencyError` (carrying the detected numerical
+    rank) when the smallest diagonal magnitude of R drops below
+    ``RANK_CUTOFF_RATIO`` times the largest, or when R (like A) has more
+    columns than rows, and ``ValueError`` on non-finite entries.
     """
-    a = as_matrix(a)
-    x = as_vector(x)
-    if x.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, vector has length {x.shape[0]}")
-    q, r = np.linalg.qr(a, mode="reduced")
+    r = as_matrix(r)
+    qtx = as_vector(qtx)
+    if qtx.shape[0] != r.shape[0]:
+        raise ValueError(f"dimension mismatch: R has {r.shape[0]} rows, Q^T x has length {qtx.shape[0]}")
     diag = np.abs(np.diagonal(r))
-    dmax = float(diag.max()) if diag.size else 0.0
+    dmax = float(diag.max())
     rank = int(np.count_nonzero(diag >= RANK_CUTOFF_RATIO * dmax)) if dmax > 0.0 else 0
-    if rank < a.shape[1]:
-        raise RankDeficiencyError(rank, a.shape)
+    if rank < r.shape[1]:
+        raise RankDeficiencyError(rank, r.shape)
     # R is upper triangular with a nonzero diagonal, so LU with partial
     # pivoting swaps no rows and leaves U = R: this is a back-substitution.
-    return np.linalg.solve(r, q.T @ x)
+    return np.linalg.solve(r, qtx)

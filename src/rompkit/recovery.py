@@ -10,7 +10,7 @@ regularization step); OMP picks one coordinate at a time.
 The refit never refactors the selected columns: the loop keeps a QR factor
 of them and extends it by the newly selected block each iteration, so an
 iteration costs one correlation, work proportional to the new columns and
-a solve of the small triangular system ``R y = Q^T x``.
+a back-substitution in the small triangular system ``R y = Q^T x``.
 """
 
 import math
@@ -194,7 +194,8 @@ def _pursue(select, matrix, measurements, sparsity, trace):
     The selected columns are kept as ``Phi[:, order[:k]] = Q R`` with ``Q``
     orthonormal (stored as the rows of ``Q^T``) and ``R`` upper triangular,
     in selection order, plus ``z = Q^T x``.  The least-squares residual is
-    then ``x - Q z`` and the coefficients solve the k x k problem ``R y = z``.
+    then ``x - Q z`` and the coefficients solve the k x k triangular system
+    ``R y = z``; this block QR is the only factorization a recovery makes.
     """
     a, x = _validated_inputs(matrix, measurements, sparsity)
     rows, dim = a.shape
@@ -261,8 +262,8 @@ def _pursue(select, matrix, measurements, sparsity, trace):
         order[k:end] = selected
         k = end
         support = np.sort(order[:k])
-        # R is already triangular, so least_squares' own QR leaves it as it
-        # is, applies the rank rule to its diagonal and back-substitutes.
+        # least_squares rejects non-finite entries (the factor of a huge Phi
+        # overflows), applies the rank rule to diag R and back-substitutes.
         try:
             coeffs = least_squares(r[:k, :k], z[:k])
         except RankDeficiencyError as exc:
@@ -323,8 +324,8 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     maximal-energy comparable subset, and refits least squares on everything
     selected so far.  The refit extends a QR factor of the selected columns
     by the new ones (block Gram-Schmidt with one reorthogonalization pass)
-    instead of refactoring them all, then solves ``R y = Q^T x`` with
-    :func:`rompkit.linalg.least_squares`.  The estimate is the final
+    instead of refactoring them all, then back-substitutes in ``R y = Q^T x``
+    with :func:`rompkit.linalg.least_squares`.  The estimate is the final
     least-squares solution, zero-padded to R^d.
 
     Raises :class:`RankDeficiencyError` (with the offending index set

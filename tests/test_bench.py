@@ -61,6 +61,22 @@ def test_config_rejects_unknown_algorithm():
 
 
 @pytest.mark.parametrize(
+    "overrides, repeated",
+    [
+        (dict(sparsities=(2, 4, 2)), "2"),
+        (dict(measurement_counts=(16, 16)), "16"),
+        (dict(algorithms=("romp", "omp", "omp")), "'omp'"),
+    ],
+    ids=["sparsities", "measurement_counts", "algorithms"],
+)
+def test_config_rejects_repeated_grid_value(overrides, repeated):
+    # A repeated value would run and count its cell's trials again.
+    name = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"{name} repeats {repeated}"):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize(
     "overrides",
     [
         dict(ensemble="partial-fourier-real", measurement_counts=(32, 33)),
@@ -84,6 +100,12 @@ def test_noiseless_trial_recovers_exactly():
     assert record.ratio_meas is None
     assert record.ratio_sig is None  # exactly sparse signal has no tail
     assert record.termination in {"zero-residual", "max-iterations", "support-budget"}
+
+
+@pytest.mark.parametrize("algo", ["ROMP", "lasso", ""])
+def test_trial_rejects_unknown_algorithm(algo):
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run_trial(small_config(), algo, 2, 32, 0)
 
 
 def test_trial_deterministic_given_cell_and_index():
