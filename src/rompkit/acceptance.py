@@ -56,19 +56,27 @@ class CriterionOutcome:
         return f"ACCEPTANCE {self.number} [{status}] {self.name}: {self.detail}"
 
 
+def _traced_romp_cell(seed, sparsity, measurements, **options):
+    """Outcomes of one traced 100-trial ROMP cell at d = 256, in trial order.
+
+    ``options`` are further :class:`SweepConfig` fields (noise, signal kind).
+    """
+    config = SweepConfig(
+        dim=256,
+        sparsities=(sparsity,),
+        measurement_counts=(measurements,),
+        trials=100,
+        seed=seed,
+        trace=True,
+        **options,
+    )
+    return list(run_cell(config, "romp", sparsity, measurements))
+
+
 def criterion_noiseless_exact():
     """1: noiseless runs reconstruct exactly in at least 95 of 100 trials."""
     start = time.monotonic()
-    config = SweepConfig(
-        dim=256,
-        sparsities=(8,),
-        measurement_counts=(128,),
-        trials=100,
-        sigma=0.0,
-        seed=SEED_NOISELESS,
-        trace=True,
-    )
-    outcomes = list(run_cell(config, "romp", 8, 128))
+    outcomes = _traced_romp_cell(SEED_NOISELESS, 8, 128, sigma=0.0)
     rel_errors = [
         o.record.err2 / np.linalg.norm(o.signal) for o in outcomes
     ]
@@ -84,16 +92,8 @@ def criterion_noiseless_exact():
 
 def criterion_measurement_noise():
     """2: error-to-noise ratio below the sqrt-log ceiling in every noisy trial."""
-    config = SweepConfig(
-        dim=256,
-        sparsities=(4,),
-        measurement_counts=(160,),
-        trials=100,
-        sigma=None,  # noise norm ~ 0.1 x clean measurement norm, per trial
-        seed=SEED_MEASUREMENT_NOISE,
-        trace=True,
-    )
-    outcomes = list(run_cell(config, "romp", 4, 160))
+    # sigma=None: noise norm ~ 0.1 x clean measurement norm, per trial
+    outcomes = _traced_romp_cell(SEED_MEASUREMENT_NOISE, 4, 160, sigma=None)
     ratios = [o.record.ratio_meas for o in outcomes]
     worst = max(ratios)
     median = float(np.median(ratios))
@@ -107,19 +107,9 @@ def criterion_measurement_noise():
 
 def criterion_signal_tail():
     """3: compressible signals stay below the tail-ratio ceiling in every trial."""
-    config = SweepConfig(
-        dim=256,
-        sparsities=(8,),
-        measurement_counts=(160,),
-        trials=100,
-        signal_kind="power-law",
-        power_exponent=2.0,
-        power_scale=1.0,
-        sigma=0.0,
-        seed=SEED_SIGNAL_TAIL,
-        trace=True,
+    outcomes = _traced_romp_cell(
+        SEED_SIGNAL_TAIL, 8, 160, signal_kind="power-law", power_exponent=2.0, power_scale=1.0, sigma=0.0
     )
-    outcomes = list(run_cell(config, "romp", 8, 160))
     ratios = [o.record.ratio_sig for o in outcomes]
     worst = max(ratios)
     passed = worst <= SIGNAL_TAIL_CEILING

@@ -200,13 +200,6 @@ class SweepReport:
     cells: list  # CellAggregate, in emission order
 
 
-def _matrix_seed(config, sparsity, measurements, trial):
-    path = [_STREAM_MATRIX, measurements, sparsity]
-    if config.fresh_matrix_per_trial:
-        path.append(trial)
-    return derive_seed(config.seed, *path)
-
-
 def _signal_spec(config, sparsity, seed):
     if config.signal_kind == POWER_LAW:
         return SignalSpec(
@@ -221,11 +214,14 @@ def _signal_spec(config, sparsity, seed):
 
 def build_cell_matrix(config, sparsity, measurements, trial=0):
     """Measurement matrix for one sweep cell (trial-dependent only when fresh)."""
+    path = [_STREAM_MATRIX, measurements, sparsity]
+    if config.fresh_matrix_per_trial:
+        path.append(trial)
     spec = EnsembleSpec(
         kind=config.ensemble,
         rows=measurements,
         cols=config.dim,
-        seed=_matrix_seed(config, sparsity, measurements, trial),
+        seed=derive_seed(config.seed, *path),
     )
     return build_matrix(spec)
 
@@ -251,17 +247,15 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
     base, base_support = generate_signal(_signal_spec(config, sparsity, signal_seed))
     clean = matrix @ base
 
+    sigma = config.sigma
+    if sigma is None:
+        noise_dim = config.dim if config.noise_target == "signal" else measurements
+        sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(noise_dim)
     if config.noise_target == "signal":
-        sigma = config.sigma
-        if sigma is None:
-            sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(config.dim)
         signal, _ = add_noise(base, NoiseSpec("signal", sigma, noise_seed))
         measured = matrix @ signal
         norm_e = 0.0
     else:
-        sigma = config.sigma
-        if sigma is None:
-            sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(measurements)
         signal = base
         measured, noise = add_noise(clean, NoiseSpec("measurement", sigma, noise_seed))
         norm_e = float(np.linalg.norm(noise))
@@ -345,17 +339,11 @@ def aggregate_records(records):
     These are exact functions of the trial rows, so an independent reader of
     the trial CSV can recompute them.
     """
-    order = []
     groups = {}
     for rec in records:
-        key = (rec.algo, rec.sparsity, rec.measurements)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.algo, rec.sparsity, rec.measurements), []).append(rec)
     cells = []
-    for key in order:
-        group = groups[key]
+    for key, group in groups.items():
         err2 = np.asarray([r.err2 for r in group])
         rm_mean, rm_median, rm_q90 = _quantiles([r.ratio_meas for r in group if r.ratio_meas is not None])
         rs_mean, rs_median, rs_q90 = _quantiles([r.ratio_sig for r in group if r.ratio_sig is not None])

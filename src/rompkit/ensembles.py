@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_matrix
 from .rng import substream
 
 __all__ = [
@@ -128,11 +129,10 @@ def probe_ric(matrix, sparsity, samples, seed=0):
     support, spherically uniform coefficients) and records the extreme norm
     ratios.  Each sample uses its own substream ``(seed, sample_index)``, so
     enlarging ``samples`` keeps all earlier draws: the estimate is
-    non-decreasing under nested sampling.
+    non-decreasing under nested sampling.  ``matrix`` must be a nonempty
+    2-D array of finite entries, or ``ValueError`` is raised.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("probe_ric expects a 2-D matrix")
+    m = as_matrix(matrix)
     dim = m.shape[1]
     if not 1 <= sparsity <= dim:
         raise ValueError(f"sparsity must be in [1, {dim}], got {sparsity}")

@@ -30,7 +30,6 @@ __all__ = [
     "SUPPORT_BUDGET",
     "ZERO_OBSERVATION",
     "ZERO_RESIDUAL",
-    "TERMINATIONS",
     "IterationState",
     "RecoveryResult",
     "identify",
@@ -45,7 +44,6 @@ MAX_ITERATIONS = "max-iterations"
 SUPPORT_BUDGET = "support-budget"
 ZERO_OBSERVATION = "zero-observation"
 ZERO_RESIDUAL = "zero-residual"
-TERMINATIONS = (MAX_ITERATIONS, SUPPORT_BUDGET, ZERO_OBSERVATION, ZERO_RESIDUAL)
 
 # Guaranteed fraction of candidate energy retained by regularization; the
 # log is clamped at 1 so the threshold stays finite at sparsity 1.
@@ -61,9 +59,9 @@ class IterationState:
     """Snapshot of one iteration, taken after the least-squares update.
 
     ``correlation`` is the observation vector Phi^T r from the start of the
-    iteration (the one selection was based on); ``residual`` and
-    ``coefficients`` reflect the state after the update.  ``coefficients`` is
-    embedded in R^d.
+    iteration, zeroed on the support selected before it: exactly the vector
+    selection was based on.  ``residual`` and ``coefficients`` reflect the
+    state after the update.  ``coefficients`` is embedded in R^d.
     """
 
     support: np.ndarray
@@ -228,9 +226,8 @@ def _pursue(select, matrix, measurements, sparsity, trace):
         # In exact arithmetic the correlation vanishes on the selected set;
         # zero it explicitly so roundoff dust can never be re-selected.  That
         # also keeps every selection disjoint from the support.
-        masked = correlation.copy()
-        masked[support] = 0.0
-        candidates, selected = select(masked, sparsity)
+        correlation[support] = 0.0
+        candidates, selected = select(correlation, sparsity)
         if selected.size == 0:
             termination = ZERO_OBSERVATION
             break
@@ -252,9 +249,18 @@ def _pursue(select, matrix, measurements, sparsity, trace):
         if selected.size == 1:
             # One column's factor is its norm; np.linalg.qr would cost more in
             # call overhead than the rest of a small iteration.  A zero norm
-            # is left for least_squares' rank rule to report.
-            r[k, k] = np.linalg.norm(block)
-            q_new = block / r[k, k] if r[k, k] > 0.0 else block
+            # is left for least_squares' rank rule to report.  Outside
+            # [2**-500, 2**500] the squares may have over- or underflowed, so
+            # the norm is retaken on the column scaled exactly by a power of
+            # two, keeping the recovery equivariant under Phi -> 2**k Phi; a
+            # norm past the float range becomes inf for least_squares to reject.
+            with np.errstate(over="ignore", under="ignore"):
+                norm = np.linalg.norm(block)
+                if not 2.0**-500 <= norm <= 2.0**500:
+                    shift = math.frexp(float(np.max(np.abs(block))))[1]
+                    norm = np.ldexp(np.linalg.norm(np.ldexp(block, -shift)), shift)
+            r[k, k] = norm
+            q_new = block / norm if norm > 0.0 else block
         else:
             q_new, r[k:end, k:end] = np.linalg.qr(block)
         qt[k:end] = q_new.T
@@ -262,8 +268,9 @@ def _pursue(select, matrix, measurements, sparsity, trace):
         order[k:end] = selected
         k = end
         support = np.sort(order[:k])
-        # least_squares rejects non-finite entries (the factor of a huge Phi
-        # overflows), applies the rank rule to diag R and back-substitutes.
+        # least_squares rejects non-finite entries (a column whose norm
+        # exceeds the float range), applies the rank rule to diag R and
+        # back-substitutes.
         try:
             coeffs = least_squares(r[:k, :k], z[:k])
         except RankDeficiencyError as exc:
@@ -289,9 +296,15 @@ def _pursue(select, matrix, measurements, sparsity, trace):
 
     if termination is None:
         termination = SUPPORT_BUDGET if k >= 2 * sparsity else MAX_ITERATIONS
+    # The coefficients are solved against the scaled x, so for a Phi with
+    # entries below the normal range they overflow, and np.linalg.solve does
+    # not warn.  The last fit set every coefficient, so one check covers all.
+    estimate = np.ldexp(estimate, exponent)
+    if not np.isfinite(estimate).all():
+        raise ValueError("least-squares coefficients overflow: matrix entries too small for the measurements")
 
     return RecoveryResult(
-        estimate=np.ldexp(estimate, exponent),
+        estimate=estimate,
         support=support,
         iterations=iterations,
         termination=termination,
@@ -333,7 +346,9 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     numerically dependent (the ``RANK_CUTOFF_RATIO`` rule that
     :func:`rompkit.linalg.least_squares` applies to the diagonal of ``R``),
     which at sane sparsity levels signals a measurement matrix far from the
-    isometry regime the algorithm expects.
+    isometry regime the algorithm expects.  Raises ``ValueError`` on
+    non-finite input, and when a selected column's norm or a least-squares
+    coefficient falls outside the float range.
     """
     return _pursue(_romp_rule, matrix, measurements, sparsity, trace)
 

@@ -89,13 +89,9 @@ def generate_signal(spec):
     """
     rng = substream(spec.seed)
     signal = np.zeros(spec.dim)
-    if spec.kind == FLAT_SPARSE:
+    if spec.kind != POWER_LAW:
         support = np.sort(rng.choice(spec.dim, size=spec.sparsity, replace=False))
-        signal[support] = 1.0
-        return signal, support.astype(np.int64)
-    if spec.kind == GAUSSIAN_SPARSE:
-        support = np.sort(rng.choice(spec.dim, size=spec.sparsity, replace=False))
-        signal[support] = rng.standard_normal(spec.sparsity)
+        signal[support] = 1.0 if spec.kind == FLAT_SPARSE else rng.standard_normal(spec.sparsity)
         return signal, support.astype(np.int64)
     placement = rng.permutation(spec.dim)
     signs = rng.integers(0, 2, size=spec.dim) * 2 - 1

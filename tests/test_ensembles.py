@@ -116,6 +116,12 @@ def test_probe_ric_validates_arguments():
         probe_ric(np.eye(5), 6, 10)
     with pytest.raises(ValueError):
         probe_ric(np.eye(5), 2, 0)
+    with pytest.raises(ValueError):
+        probe_ric(np.full((4, 8), np.nan), 2, 10)
+    inf_entry = np.eye(4, 8)
+    inf_entry[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        probe_ric(inf_entry, 2, 10)
 
 
 def test_ric_estimate_fields():

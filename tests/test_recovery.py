@@ -260,6 +260,8 @@ def test_romp_support_monotone_and_disjoint(gaussian_64x128):
     result = romp_recover(gaussian_64x128, x, 6, trace=True)
     previous = np.empty(0, dtype=np.int64)
     for state in result.trace:
+        # The trace keeps the correlation selection saw: zero on the support.
+        assert np.count_nonzero(state.correlation[previous]) == 0
         assert np.intersect1d(state.selected, previous).size == 0
         assert np.all(np.isin(previous, state.support))
         previous = state.support
@@ -388,14 +390,25 @@ def test_romp_stops_before_support_exceeds_rows():
     seed=st.integers(0, 2**31 - 1),
     noise=st.sampled_from([0.0, 0.01]),
     k=st.integers(-900, 1000),
+    j=st.integers(-1000, 1000),
 )
-def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, noise, k):
-    # Selection is scale-invariant, so scaling x by 2**k (exact in binary
-    # floating point) must change nothing but the scale of the outputs.
+# Phi scaled by about 1e160, 1e300 (the one-column norm overflowed), 1e-160
+# (a wrong estimate), 1e-170, 1e-250 and 1e-300 (a false rank deficiency).
+@example(seed=14, noise=0.0, k=0, j=532)
+@example(seed=14, noise=0.0, k=0, j=997)
+@example(seed=14, noise=0.0, k=0, j=-532)
+@example(seed=14, noise=0.0, k=0, j=-565)
+@example(seed=14, noise=0.0, k=0, j=-830)
+@example(seed=14, noise=0.0, k=0, j=-997)
+def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, noise, k, j):
+    # Selection is scale-invariant, so scaling x by 2**k or Phi by 2**j (exact
+    # in binary floating point) must change nothing but the scale of the outputs.
     rng = substream(seed)
     v = np.zeros(128)
     v[rng.choice(128, size=4, replace=False)] = rng.standard_normal(4)
     x = gaussian_64x128 @ v + noise * rng.standard_normal(64)
+    # Every entry of this Phi stays a normal float at any j in range.
+    phi = np.ldexp(gaussian_64x128, j)
     for recover in (romp_recover, omp_recover):
         base = recover(gaussian_64x128, x, 4, trace=True)
         scaled = recover(gaussian_64x128, np.ldexp(x, k), 4, trace=True)
@@ -406,6 +419,14 @@ def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, no
             assert np.array_equal(got.residual, np.ldexp(want.residual, k))
             assert np.array_equal(got.correlation, np.ldexp(want.correlation, k))
             assert np.array_equal(got.coefficients, np.ldexp(want.coefficients, k))
+        rescaled = recover(phi, x, 4)
+        assert np.array_equal(rescaled.support, base.support)
+        assert (rescaled.iterations, rescaled.termination) == (base.iterations, base.termination)
+        # A subnormal entry of the scaled estimate has lost bits, so only
+        # zero and normal entries must match exactly.
+        want = np.ldexp(base.estimate, -j)
+        exact = (want == 0.0) | (np.abs(want) >= np.finfo(np.float64).tiny)
+        assert np.array_equal(rescaled.estimate[exact], want[exact])
 
 
 @pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial-fourier-real"])
@@ -429,11 +450,10 @@ def test_every_iterate_matches_least_squares_reference(ensemble, recover):
     assert np.array_equal(result.estimate, result.trace[-1].coefficients)
 
 
-# Only x is normalized, so the refit's column norms overflow on a huge Phi
-# and numpy warns.  What is pinned is the outcome a caller with default
-# warning settings gets: a ValueError or the right answer, never a wrong one.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e160, 1e300])
+# Far from unit scale the one-column refit takes its norm on a copy scaled
+# by a power of two, so these recover like the unscaled matrix does, with no
+# overflow warning and no false rank deficiency.
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-170, 1e-300])
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
 def test_huge_matrix_scale_fails_loudly_or_recovers(recover, scale):
     phi = build_matrix(EnsembleSpec("gaussian", 64, 256, seed=13)) * scale
@@ -441,11 +461,34 @@ def test_huge_matrix_scale_fails_loudly_or_recovers(recover, scale):
     v = np.zeros(256)
     v[rng.choice(256, size=4, replace=False)] = rng.standard_normal(4)
     x = phi @ v
-    try:
-        result = recover(phi, x, 4)
-    except ValueError:
-        return
+    result = recover(phi, x, 4)
     assert np.linalg.norm(result.estimate - v) <= 1e-6 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_column_norm_past_float_range_raises_value_error(gaussian_64x128, recover):
+    # Column 0 is finite but its norm, 2e308, is not: the refit must reject
+    # it as non-finite, not overflow in a norm or in ldexp.
+    phi = gaussian_64x128.copy()
+    phi[:, 0] = 0.0
+    phi[:4, 0] = 1e308
+    x = np.zeros(64)
+    x[0] = 0.75
+    with pytest.raises(ValueError, match="finite"):
+        recover(phi, x, 4)
+
+
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_subnormal_matrix_raises_value_error(recover):
+    # Every entry of this Phi is subnormal, so the coefficients, solved
+    # against x scaled to unit size, overflow: that must raise, not come back
+    # as inf or as a rank deficiency the columns do not have.
+    phi = np.ldexp(build_matrix(EnsembleSpec("gaussian", 64, 256, seed=13)), -1030)
+    rng = substream(14)
+    v = np.zeros(256)
+    v[rng.choice(256, size=4, replace=False)] = rng.standard_normal(4)
+    with pytest.raises(ValueError, match="overflow"):
+        recover(phi, phi @ v, 4)
 
 
 # ------------------------------------------------------------- omp_recover
