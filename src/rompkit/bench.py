@@ -9,6 +9,9 @@ the trial, with fresh matrices), so replaying one trial takes the sweep's
 config plus the row's cell and trial index.  Rows are emitted in
 deterministic (cell, trial) order and floats are serialized with shortest
 round-trip formatting, making the CSV byte-stable under a fixed master seed.
+A shared-matrix cell recovers its trials in lockstep blocks
+(:func:`rompkit.recovery.recover_block`); each row still equals what
+:func:`run_trial` computes for that trial alone.
 """
 
 import csv
@@ -19,7 +22,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, build_matrix
 from .linalg import RankDeficiencyError
-from .recovery import omp_recover, romp_recover, verify_iteration_invariants
+from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import derive_seed
 from .signals import (
     POWER_LAW,
@@ -51,8 +54,6 @@ __all__ = [
     "truncated_error",
     "truncation_inequality_slack",
 ]
-
-ALGORITHMS = ("romp", "omp")
 
 # Stream tags under the master seed; see rompkit.rng for the derivation rule.
 _STREAM_MATRIX = 0
@@ -226,20 +227,20 @@ def build_cell_matrix(config, sparsity, measurements, trial=0):
     return build_matrix(spec)
 
 
-def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
-    """Run one trial; the TrialOutcome keeps the vectors behind its record.
+@dataclass
+class _Draw:
+    """A trial's inputs, drawn from its own signal and noise streams."""
 
-    The trial is fully determined by (config.seed, cell, trial): the signal
-    and noise streams are derived from the recorded per-trial seed.  A
-    recovery run that dies in the least-squares step (numerically dependent
-    columns, i.e. far outside the isometry regime) is scored as a total miss:
-    zero estimate, termination ``rank-deficient``.  ``algo`` must be one of
-    ``ALGORITHMS`` exactly; any other name raises ``ValueError``.
-    """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if matrix is None:
-        matrix = build_cell_matrix(config, sparsity, measurements, trial)
+    trial: int
+    seed: int
+    sigma: float
+    norm_e: float
+    base_support: np.ndarray
+    signal: np.ndarray
+    measured: np.ndarray
+
+
+def _draw(config, sparsity, measurements, trial, matrix):
     trial_seed = derive_seed(config.seed, _STREAM_TRIAL, measurements, sparsity, trial)
     signal_seed = derive_seed(trial_seed, _STREAM_SIGNAL)
     noise_seed = derive_seed(trial_seed, _STREAM_NOISE)
@@ -259,37 +260,47 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
         signal = base
         measured, noise = add_noise(clean, NoiseSpec("measurement", sigma, noise_seed))
         norm_e = float(np.linalg.norm(noise))
+    return _Draw(trial, trial_seed, float(sigma), norm_e, base_support, signal, measured)
 
-    recover = romp_recover if algo == "romp" else omp_recover
-    result = None
-    try:
-        result = recover(matrix, measured, sparsity, trace=config.trace)
-        estimate = result.estimate
-        iterations = result.iterations
-        termination = result.termination
-        found = result.support
-    except RankDeficiencyError:
+
+def _score(config, algo, sparsity, measurements, matrix, draw, result):
+    """The TrialOutcome of one drawn trial, given what its recovery returned or raised.
+
+    A RankDeficiencyError is scored as a total miss; any other exception is
+    raised.
+    """
+    if isinstance(result, RankDeficiencyError):
+        result = None
         estimate = np.zeros(config.dim)
         iterations = 0
         termination = RANK_DEFICIENT
         found = np.empty(0, dtype=np.int64)
+    elif isinstance(result, Exception):
+        raise result
+    else:
+        estimate = result.estimate
+        iterations = result.iterations
+        termination = result.termination
+        found = result.support
 
+    signal = draw.signal
     err2 = float(np.linalg.norm(estimate - signal))
     top_2n = best_m_term(signal, 2 * sparsity)
     err2_2n = float(np.linalg.norm(estimate - top_2n))
     tail1 = float(np.sum(np.abs(signal - best_m_term(signal, sparsity))))
+    norm_e = draw.norm_e
     ratio_meas = err2 / norm_e if norm_e > 0.0 else None
     ratio_sig = err2_2n / (tail1 / math.sqrt(sparsity)) if tail1 > 0.0 else None
-    hit = np.intersect1d(base_support, found).size / base_support.size
+    hit = np.intersect1d(draw.base_support, found).size / draw.base_support.size
 
     record = TrialRecord(
         algo=algo,
         measurements=measurements,
         dim=config.dim,
         sparsity=sparsity,
-        trial=trial,
-        seed=trial_seed,
-        sigma=float(sigma),
+        trial=draw.trial,
+        seed=draw.seed,
+        sigma=draw.sigma,
         noise_target=config.noise_target,
         norm_e=norm_e,
         err2=err2,
@@ -305,19 +316,55 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
         record=record,
         matrix=matrix,
         signal=signal,
-        measured=measured,
+        measured=draw.measured,
         estimate=estimate,
         result=result,
     )
 
 
+def _run_block(config, algo, sparsity, measurements, trials, matrix):
+    """TrialOutcomes of ``trials``, all through ``matrix``, recovered in one lockstep block."""
+    draws = [_draw(config, sparsity, measurements, trial, matrix) for trial in trials]
+    results = recover_block(
+        algo, matrix, np.array([d.measured for d in draws]), sparsity, trace=config.trace
+    )
+    return [_score(config, algo, sparsity, measurements, matrix, d, r) for d, r in zip(draws, results)]
+
+
+def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
+    """Run one trial; the TrialOutcome keeps the vectors behind its record.
+
+    The trial is fully determined by (config.seed, cell, trial): the signal
+    and noise streams are derived from the recorded per-trial seed, and the
+    record equals that trial's row of any sweep.  A recovery run that dies
+    in the least-squares step (numerically dependent columns, i.e. far
+    outside the isometry regime) is scored as a total miss: zero estimate,
+    termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
+    exactly; any other name raises ``ValueError``.
+    """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if matrix is None:
+        matrix = build_cell_matrix(config, sparsity, measurements, trial)
+    (outcome,) = _run_block(config, algo, sparsity, measurements, [trial], matrix)
+    return outcome
+
+
 def run_cell(config, algo, sparsity, measurements):
-    """Yield the TrialOutcome of each trial of one cell, in trial order."""
-    matrix = None
-    if not config.fresh_matrix_per_trial:
-        matrix = build_cell_matrix(config, sparsity, measurements)
-    for trial in range(config.trials):
-        yield run_trial(config, algo, sparsity, measurements, trial, matrix=matrix)
+    """Yield the TrialOutcome of each trial of one cell, in trial order.
+
+    A shared-matrix cell is recovered in lockstep blocks of
+    :func:`rompkit.recovery.lockstep_width` trials, a fresh-matrix cell one
+    trial at a time; either way each row equals :func:`run_trial`'s.
+    """
+    if config.fresh_matrix_per_trial:
+        for trial in range(config.trials):
+            yield run_trial(config, algo, sparsity, measurements, trial)
+        return
+    matrix = build_cell_matrix(config, sparsity, measurements)
+    width = lockstep_width(algo, measurements, config.dim, sparsity)
+    for lo in range(0, config.trials, width):
+        yield from _run_block(config, algo, sparsity, measurements, range(lo, min(lo + width, config.trials)), matrix)
 
 
 def _quantiles(values):

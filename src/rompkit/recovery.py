@@ -11,6 +11,10 @@ The refit never refactors the selected columns: the loop keeps a QR factor
 of them and extends it by the newly selected block each iteration, so an
 iteration costs one correlation, work proportional to the new columns and
 a back-substitution in the small triangular system ``R y = Q^T x``.
+
+:func:`recover_block` runs the loop in lockstep over many measurement
+vectors through one matrix, and the single-vector entry points are blocks
+of one.  Each trial's result is bit-identical to its recovery alone.
 """
 
 import math
@@ -26,6 +30,8 @@ from .linalg import (
 )
 
 __all__ = [
+    "ALGORITHMS",
+    "LOCKSTEP_BYTES",
     "MAX_ITERATIONS",
     "SUPPORT_BUDGET",
     "ZERO_OBSERVATION",
@@ -36,6 +42,8 @@ __all__ = [
     "regularize",
     "romp_recover",
     "omp_recover",
+    "recover_block",
+    "lockstep_width",
     "energy_floor",
     "verify_iteration_invariants",
 ]
@@ -52,6 +60,11 @@ ORTHOGONALITY_TOL = 1e-8
 # Relative stopping tolerance: iteration stops once the residual norm falls
 # below ``RESIDUAL_TOL * ||x||_2`` (termination ``zero-residual``).
 RESIDUAL_TOL = 1e-10
+_SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
+ALGORITHMS = ("romp", "omp")
+# Byte budget of one lockstep block's per-trial state, mostly the stacked QR
+# factors; see lockstep_width.
+LOCKSTEP_BYTES = 1 << 18
 
 
 @dataclass
@@ -87,25 +100,41 @@ def identify(observation, sparsity):
     Returns all nonzero coordinates when there are fewer than ``sparsity`` of
     them, and an empty index set exactly when the observation is zero.  Ties
     break toward lower indices.  The indices come back sorted.
+
+    A 2-D ``observation`` holds one observation per row and gives the
+    ``(rows, indices)`` pairs of all rows' selections in ``np.nonzero``
+    order, so each row selects what it would alone.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
     magnitudes = np.abs(np.asarray(observation, dtype=np.float64))
+    block = magnitudes if magnitudes.ndim == 2 else magnitudes.reshape(1, -1)
     if sparsity == 1:
         # argmax returns the first of equal maxima, the same tie-break.
-        top = np.argmax(magnitudes)
-        return np.flatnonzero(magnitudes[top : top + 1]) + top
-    # cut is the sparsity-th largest magnitude: everything above it is in, and
-    # the lowest-index ties at cut fill the remaining slots.  A zero cut means
-    # fewer than ``sparsity`` nonzeros, all of which are in.
-    cut = 0.0
-    if sparsity < magnitudes.size:
-        cut = np.partition(magnitudes, magnitudes.size - sparsity)[magnitudes.size - sparsity]
-    keep = magnitudes > cut
-    if cut > 0.0:
-        ties = np.flatnonzero(magnitudes == cut)
-        keep[ties[: sparsity - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
+        top = block.argmax(axis=1)
+        rows = np.maximum.reduce(block, axis=1).nonzero()[0]
+        selection = rows, top if rows.size == top.size else top[rows]
+    else:
+        # cut is each row's sparsity-th largest magnitude: everything above it
+        # is in, and the lowest-index ties at cut fill the remaining slots.  A
+        # zero cut means fewer than ``sparsity`` nonzeros, all of which are in
+        # (the smallest subnormal stands in for it, so ``>=`` skips zeros).
+        dim = block.shape[1]
+        if sparsity < dim:
+            cut = np.partition(block, dim - sparsity, axis=1)[:, dim - sparsity : dim - sparsity + 1]
+        else:
+            cut = np.zeros((len(block), 1))
+        keep = block >= np.maximum(cut, _SMALLEST_SUBNORMAL)
+        # A row with a positive cut keeps at least ``sparsity`` entries, more
+        # exactly when ties at cut outnumber the free slots; then only the
+        # first ties stay.  Rows with a zero cut keep fewer, so with one of
+        # those about the total count proves nothing and every row is fixed.
+        if np.count_nonzero(keep) > sparsity * len(block) or np.count_nonzero(cut) < len(block):
+            ties = block == cut
+            room = sparsity - np.add.reduce(block > cut, axis=1, keepdims=True)
+            keep &= ~ties | (np.cumsum(ties, axis=1) <= room)
+        selection = keep.nonzero()
+    return selection if magnitudes.ndim == 2 else selection[1]
 
 
 def regularize(observation, candidates):
@@ -155,12 +184,17 @@ def regularize(observation, candidates):
     return np.sort(idx[chosen]).astype(np.int64)
 
 
-def _validated_inputs(matrix, measurements, sparsity):
+def _validated_inputs(matrix, measurements, sparsity, check):
+    """Checked ``(Phi, X)``, X holding one measurement vector per row.
+
+    ``check`` is ``as_vector`` for one vector or ``as_matrix`` for a block;
+    either way Phi's finite-entry scan runs once per call.
+    """
     a = as_matrix(matrix)
-    x = as_vector(measurements)
-    if x.shape[0] != a.shape[0]:
+    x = check(measurements)
+    if x.shape[-1] != a.shape[0]:
         raise ValueError(
-            f"dimension mismatch: matrix has {a.shape[0]} rows, measurements have length {x.shape[0]}"
+            f"dimension mismatch: matrix has {a.shape[0]} rows, measurements have length {x.shape[-1]}"
         )
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
@@ -168,148 +202,344 @@ def _validated_inputs(matrix, measurements, sparsity):
         raise ValueError(
             f"sparsity {sparsity} too large: need 3*sparsity <= {a.shape[1]} columns"
         )
-    return a, x
+    return a, x.reshape(-1, a.shape[0])
 
 
-def _romp_rule(observation, sparsity):
-    candidates = identify(observation, sparsity)
-    if candidates.size == 0:
-        return candidates, candidates
-    return candidates, regularize(observation, candidates)
+def _capacity(algo, rows, sparsity):
+    # OMP's support grows by one per iteration, to at most n.  ROMP's stays
+    # below 2n before a selection of at most n.  Neither exceeds the N rows.
+    return min(rows, sparsity if algo == "omp" else 3 * sparsity)
 
 
-def _omp_rule(observation, sparsity):
-    picked = identify(observation, 1)
-    return picked, picked
+def lockstep_width(algo, rows, dim, sparsity):
+    """How many trials one lockstep block recovers at once (at least one).
 
-
-def _pursue(select, matrix, measurements, sparsity, trace):
-    """The greedy loop shared by ROMP and OMP; ``select`` is the selection rule.
-
-    ``select(observation, sparsity)`` returns ``(candidates, selected)``, both
-    empty exactly when the observation vanishes.
-
-    The selected columns are kept as ``Phi[:, order[:k]] = Q R`` with ``Q``
-    orthonormal (stored as the rows of ``Q^T``) and ``R`` upper triangular,
-    in selection order, plus ``z = Q^T x``.  The least-squares residual is
-    then ``x - Q z`` and the coefficients solve the k x k triangular system
-    ``R y = z``; this block QR is the only factorization a recovery makes.
+    A trial's lane holds its QR factor (``capacity x (N + capacity)``
+    floats) and a few vectors of length N and d; ``LOCKSTEP_BYTES`` bounds
+    the lanes of one block together.
     """
-    a, x = _validated_inputs(matrix, measurements, sparsity)
+    capacity = _capacity(algo, rows, sparsity)
+    lane_bytes = 8 * (capacity * (rows + capacity) + 4 * (rows + dim))
+    return max(1, LOCKSTEP_BYTES // lane_bytes)
+
+
+def _extend(columns, qt, r, z, x, k):
+    """Append ``columns`` to the QR factors of one lane, or of a group of lanes.
+
+    Each lane holds k columns.  For one lane ``columns`` is (N, m), ``qt``,
+    ``r`` and ``z`` are its factors and ``x`` its (N, 1) measurements; a
+    group stacks the same arrays along a leading lane axis.  ``columns`` is
+    overwritten.  A stacked product is one BLAS call per lane, of the shape
+    and strides the lone lane's product has.
+    """
+    m = columns.shape[-1]
+    end = k + m
+    # Block classical Gram-Schmidt, applied twice so the new columns are
+    # orthogonal to Q to working precision; then factor the block itself.
+    if k:
+        basis = qt[..., :k, :]
+        basis_t = basis.swapaxes(-1, -2)
+        coupling = basis @ columns
+        columns -= basis_t @ coupling
+        correction = basis @ columns
+        columns -= basis_t @ correction
+        r[..., :k, k:end] = coupling + correction
+    if m > 1:
+        q, r[..., k:end, k:end] = np.linalg.qr(columns)
+        q_t = q.swapaxes(-1, -2)
+        qt[..., k:end, :] = q_t
+        z[..., k:end] = (q_t @ x)[..., 0]
+        return
+    # One column's factor is its norm; np.linalg.qr would cost more in call
+    # overhead than the rest of a small iteration.  A zero norm is left for
+    # least_squares' rank rule to report.  Outside [2**-500, 2**500] the
+    # squares may have over- or underflowed, so the norm is retaken on the
+    # column scaled exactly by a power of two, keeping the recovery
+    # equivariant under Phi -> 2**k Phi; a norm past the float range becomes
+    # inf for least_squares to reject.
+    column = columns[..., 0]
+    row = column[..., None, :]
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.sqrt(row @ columns)
+        norms = norm.ravel().tolist()
+        odd = min(norms) < 2.0**-500 or max(norms) > 2.0**500
+        if odd:
+            lanes = norm.reshape(-1)
+            for lane, value in enumerate(norms):
+                if not 2.0**-500 <= value <= 2.0**500:
+                    entries = column.reshape(-1, column.shape[-1])[lane]
+                    shift = math.frexp(float(np.max(np.abs(entries))))[1]
+                    lanes[lane] = np.ldexp(np.linalg.norm(np.ldexp(entries, -shift)), shift)
+    r[..., k, k : k + 1] = norm[..., 0]
+    if odd:
+        norm[norm == 0.0] = 1.0  # a zero column stays zero
+    q = qt[..., k : k + 1, :]
+    np.divide(row, norm, out=q)
+    np.matmul(q, x, out=z[..., None, k : k + 1])
+
+
+def _pursue(algo, a, measurements, sparsity, trace):
+    """The greedy loop shared by ROMP and OMP, run in lockstep over a block.
+
+    ``measurements`` holds one measurement vector per row, one trial each.
+    Returns one entry per row, in order: that trial's RecoveryResult, or the
+    RankDeficiencyError or ValueError that ended it, which leaves the other
+    trials untouched.
+
+    Each trial's selected columns are kept as ``Phi[:, order[:k]] = Q R``
+    with ``Q`` orthonormal (stored as the rows of ``Q^T``) and ``R`` upper
+    triangular, in selection order, plus ``z = Q^T x``.  The least-squares
+    residual is then ``x - Q z`` and the coefficients solve the k x k
+    triangular system ``R y = z``; this block QR is the only factorization a
+    recovery makes.
+
+    A trial's state sits in one lane of stacked arrays.  The active trials
+    fill lanes ``[0, b)``: a finished trial's lane takes over the last active
+    one, so stacked steps run on views.  Correlation, selection and the
+    stopping tests are stacked.  Active OMP trials all hold the same number
+    of columns, so two or more of them extend and refit their residuals as
+    one stacked group; ROMP trials select batches of different sizes, and
+    they, like a lone OMP trial, extend on 2-D views of their own lane.
+    Every stacked product is one BLAS call per lane with the shapes and
+    strides a lone trial's product has, so a trial's result does not depend
+    on the block it runs in.  ``least_squares`` and ``regularize`` run once
+    per trial per iteration.
+    """
     rows, dim = a.shape
+    width = len(measurements)
+    capacity = _capacity(algo, rows, sparsity)
     # Work on x scaled by a power of two so that max|x| lies in [1/2, 1):
     # norms and regularization energies cannot overflow at any finite input
     # scale, and the scaling is exact, so ordinary inputs give bit-identical
     # results.  frexp(0) has exponent 0, which leaves a zero x untouched.
-    exponent = math.frexp(float(np.max(np.abs(x))))[1]
-    x = np.ldexp(x, -exponent)
-    norm_x = np.linalg.norm(x)
+    exponents = np.frexp(np.maximum.reduce(np.abs(measurements), axis=1, keepdims=True))[1]
+    x = np.ldexp(measurements, -exponents)
+    floor = RESIDUAL_TOL * np.sqrt(x[:, None, :] @ x[:, :, None])
 
-    # The support stays below 2n before a selection of at most n, and never
-    # exceeds the N rows, so min(N, 3n) columns always suffice.
-    capacity = min(rows, 3 * sparsity)
-    qt = np.empty((capacity, rows))
-    r = np.zeros((capacity, capacity))
-    z = np.empty(capacity)
-    order = np.empty(capacity, dtype=np.int64)
-    k = 0
-
-    support = np.empty(0, dtype=np.int64)
-    residual = x
-    estimate = np.zeros(dim)
-    states = []
+    residual = x.copy()
+    qt = np.empty((width, capacity, rows))
+    r = np.zeros((width, capacity, capacity))
+    z = np.empty((width, capacity))
+    order = np.empty((width, capacity), dtype=np.int64)
+    coeffs = np.empty((width, capacity))
+    taken = np.zeros((width, dim), dtype=bool)
+    size = [0] * width
+    trial = list(range(width))
+    lane_state = (x, floor, exponents, residual, r, z, order, coeffs, taken, size, trial)
+    states = [[] for _ in range(width)] if trace else None
+    out = [None] * width
+    a_t = a.T
+    at = a_t[None]
+    # Per-lane views for the lane-by-lane steps; they stay valid as lanes
+    # are refilled, since each points at its lane's own memory.
+    x_col = x[:, :, None]
+    lane_views = [(qt[lane], r[lane], z[lane], x_col[lane], x[lane], residual[lane]) for lane in range(width)]
+    omp = algo == "omp"
+    b = width
+    viewed = 0
     iterations = 0
-    termination = None
 
-    while iterations < sparsity and k < 2 * sparsity:
-        correlation = a.T @ residual
+    def finish(lanes, termination, extras=()):
+        """Record the end of the trials in ``lanes`` and free their lanes.
+
+        ``lanes`` is in increasing order.  ``termination`` is one reason for
+        all of them, or a list holding a reason or an exception per lane.
+        ``extras`` are this iteration's per-lane sequences, moved along with
+        the lane state.
+        """
+        nonlocal b
+        ends = termination if isinstance(termination, list) else [termination] * len(lanes)
+        # From the last lane down, so each refill comes from an active lane.
+        for lane, end in zip(reversed(lanes), reversed(ends)):
+            t = trial[lane]
+            if isinstance(end, Exception):
+                out[t] = end
+            else:
+                k = size[lane]
+                # The coefficients are solved against the scaled x, so for a
+                # Phi with entries below the normal range they overflow, and
+                # np.linalg.solve does not warn.  The last fit set every
+                # coefficient, so one check covers all.
+                values = np.ldexp(coeffs[lane, :k], exponents[lane, 0])
+                if np.count_nonzero(np.isfinite(values)) == k:
+                    estimate = np.zeros(dim)
+                    estimate[order[lane, :k]] = values
+                    out[t] = RecoveryResult(
+                        estimate=estimate,
+                        support=np.sort(order[lane, :k]),
+                        iterations=iterations,
+                        termination=end,
+                        trace=states[t] if trace else [],
+                    )
+                else:
+                    out[t] = ValueError(
+                        "least-squares coefficients overflow: matrix entries too small for the measurements"
+                    )
+            b -= 1
+            if lane != b:
+                for state in lane_state + tuple(extras):
+                    state[lane] = state[b]
+                qt[lane, : size[lane]] = qt[b, : size[lane]]
+
+    def views():
+        resb = residual[:b]
+        return resb[:, None, :], resb[:, :, None], taken[:b], floor[:b], np.arange(b + 1) if b > 1 else None
+
+    while b:
+        if b != viewed:
+            viewed = b
+            res_row, res3, takenb, floorb, bounds = views()
+        correlation = (at @ res3)[:, :, 0]
         # In exact arithmetic the correlation vanishes on the selected set;
         # zero it explicitly so roundoff dust can never be re-selected.  That
         # also keeps every selection disjoint from the support.
-        correlation[support] = 0.0
-        candidates, selected = select(correlation, sparsity)
-        if selected.size == 0:
-            termination = ZERO_OBSERVATION
-            break
-        end = k + selected.size
-        if end > rows:
-            # More columns than rows can never be refit; stop on the last fit.
-            termination = SUPPORT_BUDGET
-            break
-        # Block classical Gram-Schmidt, applied twice so the new columns are
-        # orthogonal to Q to working precision; then factor the block itself.
-        block = a[:, selected]
-        if k:
-            basis = qt[:k]
-            coupling = basis @ block
-            block -= basis.T @ coupling
-            correction = basis @ block
-            block -= basis.T @ correction
-            r[:k, k:end] = coupling + correction
-        if selected.size == 1:
-            # One column's factor is its norm; np.linalg.qr would cost more in
-            # call overhead than the rest of a small iteration.  A zero norm
-            # is left for least_squares' rank rule to report.  Outside
-            # [2**-500, 2**500] the squares may have over- or underflowed, so
-            # the norm is retaken on the column scaled exactly by a power of
-            # two, keeping the recovery equivariant under Phi -> 2**k Phi; a
-            # norm past the float range becomes inf for least_squares to reject.
-            with np.errstate(over="ignore", under="ignore"):
-                norm = np.linalg.norm(block)
-                if not 2.0**-500 <= norm <= 2.0**500:
-                    shift = math.frexp(float(np.max(np.abs(block))))[1]
-                    norm = np.ldexp(np.linalg.norm(np.ldexp(block, -shift)), shift)
-            r[k, k] = norm
-            q_new = block / norm if norm > 0.0 else block
+        if iterations:
+            correlation[takenb] = 0.0
+        found, picked = identify(correlation, 1 if omp else sparsity)
+        if omp:
+            # Every OMP trial holds ``iterations`` columns and adds one.
+            candidates = selected = picked
+            stops = None
+            if found.size < b or iterations >= rows:
+                counts = [0] * b
+                for lane in found.tolist():
+                    counts[lane] = 1
+                selected = np.zeros(b, dtype=np.int64)
+                selected[found] = picked
+                candidates = selected
+                stops = [lane for lane, m in enumerate(counts) if not m or iterations >= rows]
         else:
-            q_new, r[k:end, k:end] = np.linalg.qr(block)
-        qt[k:end] = q_new.T
-        z[k:end] = q_new.T @ x
-        order[k:end] = selected
-        k = end
-        support = np.sort(order[:k])
-        # least_squares rejects non-finite entries (a column whose norm
-        # exceeds the float range), applies the rank rule to diag R and
-        # back-substitutes.
-        try:
-            coeffs = least_squares(r[:k, :k], z[:k])
-        except RankDeficiencyError as exc:
-            raise RankDeficiencyError(exc.numerical_rank, (rows, k), support=support) from exc
-        residual = x - z[:k] @ qt[:k]
-        # The support only grows, so this overwrites every earlier coefficient.
-        estimate[order[:k]] = coeffs
+            edges = np.searchsorted(found, bounds).tolist() if b > 1 else [0, found.size]
+            candidates, selected, stops = [], [], []
+            for lane in range(b):
+                chosen = picked[edges[lane] : edges[lane + 1]]
+                candidates.append(chosen)
+                if chosen.size:
+                    chosen = regularize(correlation[lane], chosen)
+                selected.append(chosen)
+                if not chosen.size or size[lane] + chosen.size > rows:
+                    stops.append(lane)
+            if stops:
+                counts = [chosen.size for chosen in selected]
+        if stops:
+            ends = []
+            for lane in stops:
+                if counts[lane]:
+                    # More columns than rows can never be refit; stop on the
+                    # last fit.
+                    ends.append(SUPPORT_BUDGET)
+                elif residual[lane].any() and np.max(np.abs(a)) < np.finfo(np.float64).tiny:
+                    # A nonzero residual whose correlation with every column
+                    # underflowed to zero: numerical, not x orthogonal to Phi.
+                    ends.append(ValueError("correlation underflows to zero: matrix entries too small"))
+                else:
+                    ends.append(ZERO_OBSERVATION)
+            finish(stops, ends, (correlation, candidates, selected))
+            if not b:
+                break
+            correlation, candidates, selected = correlation[:b], candidates[:b], selected[:b]
+            viewed = b
+            res_row, res3, takenb, floorb, bounds = views()
+
+        # Stacking pays once two or more OMP trials share the step.
+        stacked = omp and b > 1
+        if stacked:
+            _extend(a_t[selected][:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
+            order[:b, iterations] = selected
+            takenb[bounds[:b], selected] = True
+            size[:b] = [iterations + 1] * b
+        # Lane by lane: extend the factor and take the residual unless the
+        # group did, and refit.  least_squares rejects non-finite entries (a
+        # column whose norm exceeds the float range), applies the rank rule
+        # to diag R and back-substitutes.
+        failed, errors = [], []
+        for lane in range(b):
+            qt_lane, r_lane, z_lane, x_col_lane, x_lane, res_lane = lane_views[lane]
+            k = size[lane]
+            if not stacked:
+                chosen = selected[lane : lane + 1] if omp else selected[lane]
+                _extend(a[:, chosen], qt_lane, r_lane, z_lane, x_col_lane, k)
+                order[lane, k : k + chosen.size] = chosen
+                taken[lane, chosen] = True
+                k += chosen.size
+                size[lane] = k
+            try:
+                coeffs[lane, :k] = least_squares(r_lane[:k, :k], z_lane[:k])
+            except RankDeficiencyError as exc:
+                error = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
+                error.__cause__ = exc
+                failed.append(lane)
+                errors.append(error)
+                continue
+            except ValueError as exc:
+                failed.append(lane)
+                errors.append(exc)
+                continue
+            if not stacked:
+                np.subtract(x_lane, z_lane[:k] @ qt_lane[:k], out=res_lane)
+        if failed:
+            finish(failed, errors, (correlation, candidates, selected))
+            if not b:
+                break
+            correlation, candidates, selected = correlation[:b], candidates[:b], selected[:b]
+            viewed = b
+            res_row, res3, takenb, floorb, bounds = views()
+        if stacked:
+            k = iterations + 1
+            np.subtract(x[:b, None, :], z[:b, None, :k] @ qt[:b, :k], out=res_row)
         iterations += 1
         if trace:
-            states.append(
-                IterationState(
-                    support=support,
-                    candidates=candidates,
-                    selected=selected,
-                    correlation=np.ldexp(correlation, exponent),
-                    residual=np.ldexp(residual, exponent),
-                    coefficients=np.ldexp(estimate, exponent),
+            for lane in range(b):
+                k = size[lane]
+                exponent = exponents[lane, 0]
+                coefficients = np.zeros(dim)
+                coefficients[order[lane, :k]] = coeffs[lane, :k]
+                states[trial[lane]].append(
+                    IterationState(
+                        support=np.sort(order[lane, :k]),
+                        candidates=np.array(candidates[lane], ndmin=1),
+                        selected=np.array(selected[lane], ndmin=1),
+                        correlation=np.ldexp(correlation[lane], exponent),
+                        residual=np.ldexp(residual[lane], exponent),
+                        coefficients=np.ldexp(coefficients, exponent),
+                    )
                 )
-            )
-        if np.linalg.norm(residual) <= RESIDUAL_TOL * norm_x:
-            termination = ZERO_RESIDUAL
-            break
+        done = np.sqrt(res_row @ res3) <= floorb
+        if np.count_nonzero(done):
+            finish(done.nonzero()[0].tolist(), ZERO_RESIDUAL)
+        if not omp and b and max(size[:b]) >= 2 * sparsity:
+            finish([lane for lane in range(b) if size[lane] >= 2 * sparsity], SUPPORT_BUDGET)
+        if iterations >= sparsity:
+            finish(list(range(b)), MAX_ITERATIONS)
+    return out
 
-    if termination is None:
-        termination = SUPPORT_BUDGET if k >= 2 * sparsity else MAX_ITERATIONS
-    # The coefficients are solved against the scaled x, so for a Phi with
-    # entries below the normal range they overflow, and np.linalg.solve does
-    # not warn.  The last fit set every coefficient, so one check covers all.
-    estimate = np.ldexp(estimate, exponent)
-    if not np.isfinite(estimate).all():
-        raise ValueError("least-squares coefficients overflow: matrix entries too small for the measurements")
 
-    return RecoveryResult(
-        estimate=estimate,
-        support=support,
-        iterations=iterations,
-        termination=termination,
-        trace=states,
-    )
+def recover_block(algo, matrix, measurements, sparsity, trace=False):
+    """Recover every row of ``measurements`` through one ``matrix``, in lockstep.
+
+    ``algo`` is ``"romp"`` or ``"omp"``.  Returns one entry per row, in
+    order: the row's RecoveryResult, or the RankDeficiencyError or
+    ValueError its recovery raised (other rows are unaffected).  Each entry
+    is bit-identical to what :func:`romp_recover` / :func:`omp_recover`
+    returns or raises for that row alone.  Phi is validated once; rows are
+    recovered in blocks of :func:`lockstep_width` trials.
+    """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    a, x = _validated_inputs(matrix, measurements, sparsity, as_matrix)
+    width = lockstep_width(algo, a.shape[0], a.shape[1], sparsity)
+    out = []
+    for lo in range(0, len(x), width):
+        out += _pursue(algo, a, x[lo : lo + width], sparsity, trace)
+    return out
+
+
+def _recover(algo, matrix, measurements, sparsity, trace):
+    a, x = _validated_inputs(matrix, measurements, sparsity, as_vector)
+    (result,) = _pursue(algo, a, x, sparsity, trace)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def romp_recover(matrix, measurements, sparsity, trace=False):
@@ -348,9 +578,12 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     which at sane sparsity levels signals a measurement matrix far from the
     isometry regime the algorithm expects.  Raises ``ValueError`` on
     non-finite input, and when a selected column's norm or a least-squares
-    coefficient falls outside the float range.
+    coefficient falls outside the float range.  Also raises ``ValueError``
+    when Phi lies below the normal float range and its correlation with a
+    nonzero residual underflows to zero; with a normal-range Phi, a zero
+    correlation ends the run with ``zero-observation``.
     """
-    return _pursue(_romp_rule, matrix, measurements, sparsity, trace)
+    return _recover("romp", matrix, measurements, sparsity, trace)
 
 
 def omp_recover(matrix, measurements, sparsity, trace=False):
@@ -361,7 +594,7 @@ def omp_recover(matrix, measurements, sparsity, trace=False):
     iterations; the ``2 * sparsity`` support budget is never reached, and
     the N-row stop only when ``sparsity`` exceeds N.
     """
-    return _pursue(_omp_rule, matrix, measurements, sparsity, trace)
+    return _recover("omp", matrix, measurements, sparsity, trace)
 
 
 def energy_floor(sparsity):

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rompkit import bench
+from rompkit import bench, recovery
 from rompkit.bench import (
     AGGREGATE_CSV_HEADER,
     TRIAL_CSV_HEADER,
@@ -266,6 +266,36 @@ def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, monkeypatch):
         run_sweep(config)
     for k, path in enumerate(outputs):
         assert path.read_bytes() == b"previous result %d\n" % k
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
+def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble):
+    # A budget of about three lanes splits the 10-trial cell into several
+    # lockstep blocks; every row must still be the one run_trial gives.
+    config = small_config(trials=10, ensemble=ensemble, algorithms=(algo,), sparsities=(3,), trace=True)
+    lane_bytes = recovery.LOCKSTEP_BYTES // recovery.lockstep_width(algo, 32, 64, 3)
+    monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", 3 * lane_bytes)
+    assert recovery.lockstep_width(algo, 32, 64, 3) == 3
+    matrix = build_cell_matrix(config, 3, 32)
+    outcomes = list(bench.run_cell(config, algo, 3, 32))
+    assert [o.record for o in outcomes] == [run_trial(config, algo, 3, 32, t, matrix).record for t in range(10)]
+
+
+def test_non_finite_shared_matrix_fails_and_leaves_csv_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"previous result\n")
+
+    def poisoned(spec):
+        matrix = build_matrix(spec)
+        matrix[1, 2] = np.nan
+        return matrix
+
+    build_matrix = bench.build_matrix
+    monkeypatch.setattr(bench, "build_matrix", poisoned)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        run_sweep(small_config(trials=4, sigma=0.0, csv_path=str(out)))
+    assert out.read_bytes() == b"previous result\n"
 
 
 def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):

@@ -1,16 +1,19 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rompkit import bench, recovery
 from rompkit.ensembles import EnsembleSpec, build_matrix
 from rompkit.linalg import RankDeficiencyError
 from rompkit.recovery import (
     energy_floor,
     identify,
     omp_recover,
+    recover_block,
     regularize,
     romp_recover,
     verify_iteration_invariants,
@@ -76,6 +79,22 @@ def test_identify_matches_stable_sort_oracle(values, sparsity):
     # index and zeros must never be chosen.
     u = np.asarray(values, dtype=np.float64)
     assert identify(u, sparsity).tolist() == identify_oracle(u, sparsity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(-3, 3), min_size=12, max_size=12), min_size=1, max_size=6),
+    sparsity=st.integers(1, 14),
+)
+@example(rows=[[0] * 12, [2] * 12, [0, 1] * 6], sparsity=3)
+def test_block_identify_matches_stable_sort_oracle_row_by_row(rows, sparsity):
+    # The block form is what the lockstep loop selects with: rows with many
+    # ties and rows with fewer nonzeros than the budget share one call.
+    block = np.asarray(rows, dtype=np.float64)
+    lanes, picked = identify(block, sparsity)
+    for lane, row in enumerate(block):
+        assert picked[lanes == lane].tolist() == identify_oracle(row, sparsity)
+        assert picked[lanes == lane].tolist() == identify(row, sparsity).tolist()
 
 
 def test_identify_rejects_bad_budget():
@@ -529,3 +548,176 @@ def test_omp_selects_one_index_per_iteration(gaussian_64x128):
         assert state.selected.size == 1
         assert state.support.size == k + 1
     assert verify_iteration_invariants(gaussian_64x128, x, 5, result) == []
+
+
+# ---------------------------------------------------------------- lockstep
+
+def identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_outcome(got, want):
+    """A lockstep entry equals the lone call's result or exception, bit for bit."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, RankDeficiencyError):
+            assert (got.numerical_rank, got.shape) == (want.numerical_rank, want.shape)
+            assert identical(got.support, want.support)
+        return
+    assert identical(got.estimate, want.estimate)
+    assert identical(got.support, want.support)
+    assert (got.iterations, got.termination) == (want.iterations, want.termination)
+    assert len(got.trace) == len(want.trace)
+    for g, w in zip(got.trace, want.trace):
+        for name in ("support", "candidates", "selected", "correlation", "residual", "coefficients"):
+            assert identical(getattr(g, name), getattr(w, name)), name
+
+
+def one_at_a_time(algo, phi, block, sparsity):
+    recover = romp_recover if algo == "romp" else omp_recover
+    outcomes = []
+    for x in block:
+        try:
+            outcomes.append(recover(phi, x, sparsity, trace=True))
+        except ValueError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_block_matches_lone_calls(algo, phi, block, sparsity):
+    lone = one_at_a_time(algo, phi, block, sparsity)
+    for got, want in zip(recover_block(algo, phi, block, sparsity, trace=True), lone, strict=True):
+        assert_same_outcome(got, want)
+
+
+def sweep_cell_block(ensemble, dim, sparsity, measurements, trials, seed, sigma):
+    """The matrix and measurement vectors of one shared-matrix sweep cell."""
+    config = bench.SweepConfig(
+        dim=dim, sparsities=(sparsity,), measurement_counts=(measurements,),
+        trials=trials, ensemble=ensemble, sigma=sigma, seed=seed,
+    )
+    phi = bench.build_cell_matrix(config, sparsity, measurements)
+    block = [bench.run_trial(config, "romp", sparsity, measurements, t, phi).measured for t in range(trials)]
+    return phi, np.array(block)
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # Noisy Gaussian, and the tie-heavy noiseless Bernoulli N = 32 cells
+        # of the seed-11 d = 256 grid, where a summation-order change flips
+        # supports.
+        ("gaussian", 128, 6, 48, 12, 3, None),
+        ("bernoulli", 256, 4, 32, 40, 11, 0.0),
+        ("bernoulli", 256, 8, 32, 40, 11, 0.0),
+        ("bernoulli", 256, 12, 32, 40, 11, 0.0),
+        ("partial-fourier-real", 256, 8, 64, 16, 9, 0.0),
+    ],
+    ids=["gaussian", "bernoulli-n4", "bernoulli-n8", "bernoulli-n12", "partial-fourier"],
+)
+def test_lockstep_block_matches_lone_calls(algo, cell):
+    phi, block = sweep_cell_block(*cell)
+    assert_block_matches_lone_calls(algo, phi, block, cell[2])
+
+
+def mixed_termination_block():
+    # Columns 10 and 11 are equal, so ROMP selects them together and the
+    # refit is rank deficient; the other rows stop on a zero observation,
+    # the N-row support budget and a zero residual.
+    phi = build_matrix(EnsembleSpec("gaussian", 8, 64, seed=3))
+    phi[:, 11] = phi[:, 10]
+    v = np.zeros(64)
+    v[[2, 9, 20, 33, 41, 60]] = [1.0, -0.5, 2.0, 0.7, -1.3, 0.9]
+    rows = [phi @ v, np.zeros(8), 3.0 * phi[:, 10], -2.0 * phi[:, 30], substream(5).standard_normal(8), 3.0 * phi[:, 10], np.zeros(8)]
+    return phi, np.array(rows)
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+def test_lockstep_block_mixing_every_termination(algo):
+    phi, block = mixed_termination_block()
+    assert_block_matches_lone_calls(algo, phi, block, 6)
+    if algo == "romp":
+        ends = {type(o).__name__ if isinstance(o, Exception) else o.termination for o in recover_block(algo, phi, block, 6)}
+        assert ends == {"RankDeficiencyError", "zero-observation", "support-budget", "zero-residual"}
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_lockstep_block_shrinking_to_one_lane_mid_iteration(algo, zero_first):
+    # The zero row stops before the extension of the first iteration, which
+    # leaves one active lane for the rest of that iteration.
+    phi = build_matrix(EnsembleSpec("gaussian", 32, 96, seed=1))
+    rows = [np.zeros(32), 2.0 * phi[:, 3] + phi[:, 7] + 0.01 * substream(2).standard_normal(32)]
+    if not zero_first:
+        rows.reverse()
+    assert_block_matches_lone_calls(algo, phi, np.array(rows), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    algo=st.sampled_from(["romp", "omp"]),
+    ensemble=st.sampled_from(["gaussian", "bernoulli", "partial-fourier-real"]),
+    trials=st.integers(1, 9),
+    budget=st.sampled_from([1, 20_000, 60_000, recovery.LOCKSTEP_BYTES]),
+    data=st.data(),
+)
+def test_lockstep_results_do_not_depend_on_block_width_or_order(seed, algo, ensemble, trials, budget, data):
+    rng = substream(seed)
+    phi = build_matrix(EnsembleSpec(ensemble, 32, 96, seed=seed % 1000))
+    block = []
+    for _ in range(trials):
+        v = np.zeros(96)
+        v[rng.choice(96, size=4, replace=False)] = rng.standard_normal(4)
+        block.append(phi @ v + rng.choice([0.0, 0.05]) * rng.standard_normal(32))
+    block = np.array(block)
+    order = data.draw(st.permutations(range(trials)))
+    lone = one_at_a_time(algo, phi, block, 4)
+    with mock.patch.object(recovery, "LOCKSTEP_BYTES", budget):
+        got = recover_block(algo, phi, block[order], 4, trace=True)
+    for position, t in enumerate(order):
+        assert_same_outcome(got[position], lone[t])
+
+
+def test_block_validates_the_matrix_once(monkeypatch):
+    phi, block = mixed_termination_block()
+    scans = []
+    real = recovery.as_matrix
+    monkeypatch.setattr(recovery, "as_matrix", lambda m: scans.append(np.shape(m)) or real(m))
+    recover_block("romp", phi, block, 6)
+    assert scans.count(phi.shape) == 1
+    phi[3, 7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        recover_block("romp", phi, block, 6)
+
+
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_deep_subnormal_matrix_raises_instead_of_zero_observation(recover):
+    # At Phi * 2**-1073 every correlation underflows to zero although x has
+    # nonzero entries; that is numerical trouble, not x orthogonal to Phi.
+    phi = np.ldexp(build_matrix(EnsembleSpec("gaussian", 64, 256, seed=13)), -1073)
+    rng = substream(14)
+    v = np.zeros(256)
+    v[rng.choice(256, size=4, replace=False)] = rng.standard_normal(4)
+    x = phi @ v
+    assert np.count_nonzero(x)
+    with pytest.raises(ValueError, match="underflow"):
+        recover(phi, x, 4)
+    # At 2**-1074 the measurements themselves vanish: a true zero observation.
+    phi = np.ldexp(phi, -1)
+    result = recover(phi, phi @ v, 4)
+    assert result.termination == "zero-observation"
+    assert not np.any(result.estimate)
+
+
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_zero_row_observation_is_still_zero_observation(gaussian_64x128, recover):
+    phi = gaussian_64x128.copy()
+    phi[5] = 0.0
+    x = np.zeros(64)
+    x[5] = 1.0
+    result = recover(phi, x, 4)
+    assert result.termination == "zero-observation"
+    assert result.iterations == 0
