@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ensembles import EnsembleSpec, build_matrix
-from .linalg import RankDeficiencyError
+from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import derive_seed
 from .signals import (
@@ -144,10 +144,12 @@ class SweepConfig:
     measurement noise, d for signal noise), so the realized noise norm is
     about a tenth of the clean measurement norm.
 
-    Construction checks the whole grid: it rejects a repeated sparsity,
-    measurement count or algorithm and builds the noise spec, one ensemble
-    spec per N and one signal spec per n, so an invalid cell raises
-    ``ValueError`` here, before a sweep opens any output file.
+    Construction checks the whole grid: it rejects a ``dim``, ``trials``,
+    ``seed`` or grid value that is not an integer (floats are never
+    truncated), a repeated sparsity, measurement count or algorithm, and
+    builds the noise spec, one ensemble spec per N and one signal spec per
+    n, so an invalid cell raises ``ValueError`` here, before a sweep opens
+    any output file.
     """
 
     dim: int
@@ -168,8 +170,10 @@ class SweepConfig:
     fresh_matrix_per_trial: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "sparsities", tuple(int(n) for n in self.sparsities))
-        object.__setattr__(self, "measurement_counts", tuple(int(m) for m in self.measurement_counts))
+        for name in ("dim", "trials", "seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name in ("sparsities", "measurement_counts"):
+            object.__setattr__(self, name, tuple(as_integer(v, f"each of {name}") for v in getattr(self, name)))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -550,6 +554,8 @@ def truncation_inequality_slack(signal, estimate, sparsity):
     v = np.asarray(signal, dtype=np.float64)
     v_hat = np.asarray(estimate, dtype=np.float64)
     m = 2 * int(sparsity)
-    lhs = truncated_error(v, v_hat, sparsity)
-    rhs = float(np.linalg.norm(best_m_term(v, m) - v_hat))
+    top = best_m_term(v, m)
+    # lhs is truncated_error(v, v_hat, sparsity), sharing v's best 2n terms.
+    lhs = float(np.linalg.norm(top - best_m_term(v_hat, m)))
+    rhs = float(np.linalg.norm(top - v_hat))
     return lhs - 3.0 * rhs

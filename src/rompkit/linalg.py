@@ -9,10 +9,13 @@ float64 arrays.  Everything here is a pure function; nothing mutates its
 inputs.
 """
 
+import operator
+
 import numpy as np
 
 __all__ = [
     "RankDeficiencyError",
+    "as_integer",
     "as_matrix",
     "as_vector",
     "least_squares",
@@ -41,6 +44,18 @@ class RankDeficiencyError(ValueError):
         if support is not None:
             msg += f" on index set of size {len(support)}"
         super().__init__(msg)
+
+
+def as_integer(value, name):
+    """``value`` as a Python int, or ``ValueError`` naming ``name``.
+
+    Anything ``operator.index`` accepts passes, numpy integers included;
+    a float does not, even an integral one, so it is never truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_matrix(m):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .linalg import (
     RankDeficiencyError,
+    as_integer,
     as_matrix,
     as_vector,
     least_squares,
@@ -184,27 +185,6 @@ def regularize(observation, candidates):
     return np.sort(idx[chosen]).astype(np.int64)
 
 
-def _validated_inputs(matrix, measurements, sparsity, check):
-    """Checked ``(Phi, X)``, X holding one measurement vector per row.
-
-    ``check`` is ``as_vector`` for one vector or ``as_matrix`` for a block;
-    either way Phi's finite-entry scan runs once per call.
-    """
-    a = as_matrix(matrix)
-    x = check(measurements)
-    if x.shape[-1] != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {a.shape[0]} rows, measurements have length {x.shape[-1]}"
-        )
-    if sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
-    if 3 * sparsity > a.shape[1]:
-        raise ValueError(
-            f"sparsity {sparsity} too large: need 3*sparsity <= {a.shape[1]} columns"
-        )
-    return a, x.reshape(-1, a.shape[0])
-
-
 def _capacity(algo, rows, sparsity):
     # OMP's support grows by one per iteration, to at most n.  ROMP's stays
     # below 2n before a selection of at most n.  Neither exceeds the N rows.
@@ -224,10 +204,10 @@ def lockstep_width(algo, rows, dim, sparsity):
 
 
 def _extend(columns, qt, r, z, x, k):
-    """Append ``columns`` to the QR factors of one lane, or of a group of lanes.
+    """Append ``columns`` to the QR factors of one ROMP lane, or of the OMP group.
 
     Each lane holds k columns.  For one lane ``columns`` is (N, m), ``qt``,
-    ``r`` and ``z`` are its factors and ``x`` its (N, 1) measurements; a
+    ``r`` and ``z`` are its factors and ``x`` its (N, 1) measurements; the
     group stacks the same arrays along a leading lane axis.  ``columns`` is
     overwritten.  A stacked product is one BLAS call per lane, of the shape
     and strides the lone lane's product has.
@@ -295,15 +275,15 @@ def _pursue(algo, a, measurements, sparsity, trace):
 
     A trial's state sits in one lane of stacked arrays.  The active trials
     fill lanes ``[0, b)``: a finished trial's lane takes over the last active
-    one, so stacked steps run on views.  Correlation, selection and the
-    stopping tests are stacked.  Active OMP trials all hold the same number
-    of columns, so two or more of them extend and refit their residuals as
-    one stacked group; ROMP trials select batches of different sizes, and
-    they, like a lone OMP trial, extend on 2-D views of their own lane.
-    Every stacked product is one BLAS call per lane with the shapes and
-    strides a lone trial's product has, so a trial's result does not depend
-    on the block it runs in.  ``least_squares`` and ``regularize`` run once
-    per trial per iteration.
+    one, so stacked steps run on the leading ``b`` lanes.  Correlation,
+    selection and the stopping tests are stacked.  Each algorithm has one
+    extension path.  Active OMP trials all hold the same number of columns,
+    so they extend and take their residuals as one stacked group, a block of
+    one included.  ROMP trials select batches of different sizes, so each
+    extends on 2-D views of its own lane.  Every stacked product is one BLAS
+    call per lane with the shapes and strides a lone trial's product has, so
+    a trial's result does not depend on the block it runs in.
+    ``least_squares`` and ``regularize`` run once per trial per iteration.
     """
     rows, dim = a.shape
     width = len(measurements)
@@ -334,9 +314,11 @@ def _pursue(algo, a, measurements, sparsity, trace):
     # are refilled, since each points at its lane's own memory.
     x_col = x[:, :, None]
     lane_views = [(qt[lane], r[lane], z[lane], x_col[lane], x[lane], residual[lane]) for lane in range(width)]
+    # Lane numbers: bounds[:b] indexes the active lanes, and searching
+    # bounds[:b + 1] in identify's row indices splits its picks by lane.
+    bounds = np.arange(width + 1)
     omp = algo == "omp"
     b = width
-    viewed = 0
     iterations = 0
 
     def finish(lanes, termination, extras=()):
@@ -344,8 +326,8 @@ def _pursue(algo, a, measurements, sparsity, trace):
 
         ``lanes`` is in increasing order.  ``termination`` is one reason for
         all of them, or a list holding a reason or an exception per lane.
-        ``extras`` are this iteration's per-lane sequences, moved along with
-        the lane state.
+        ``extras`` are this iteration's per-lane sequences; they move along
+        with the lane state and are returned cut to the lanes still active.
         """
         nonlocal b
         ends = termination if isinstance(termination, list) else [termination] * len(lanes)
@@ -380,21 +362,15 @@ def _pursue(algo, a, measurements, sparsity, trace):
                 for state in lane_state + tuple(extras):
                     state[lane] = state[b]
                 qt[lane, : size[lane]] = qt[b, : size[lane]]
-
-    def views():
-        resb = residual[:b]
-        return resb[:, None, :], resb[:, :, None], taken[:b], floor[:b], np.arange(b + 1) if b > 1 else None
+        return tuple(extra[:b] for extra in extras)
 
     while b:
-        if b != viewed:
-            viewed = b
-            res_row, res3, takenb, floorb, bounds = views()
-        correlation = (at @ res3)[:, :, 0]
+        correlation = (at @ residual[:b, :, None])[:, :, 0]
         # In exact arithmetic the correlation vanishes on the selected set;
         # zero it explicitly so roundoff dust can never be re-selected.  That
         # also keeps every selection disjoint from the support.
         if iterations:
-            correlation[takenb] = 0.0
+            correlation[taken[:b]] = 0.0
         found, picked = identify(correlation, 1 if omp else sparsity)
         if omp:
             # Every OMP trial holds ``iterations`` columns and adds one.
@@ -409,7 +385,7 @@ def _pursue(algo, a, measurements, sparsity, trace):
                 candidates = selected
                 stops = [lane for lane, m in enumerate(counts) if not m or iterations >= rows]
         else:
-            edges = np.searchsorted(found, bounds).tolist() if b > 1 else [0, found.size]
+            edges = np.searchsorted(found, bounds[: b + 1]).tolist()
             candidates, selected, stops = [], [], []
             for lane in range(b):
                 chosen = picked[edges[lane] : edges[lane + 1]]
@@ -434,30 +410,25 @@ def _pursue(algo, a, measurements, sparsity, trace):
                     ends.append(ValueError("correlation underflows to zero: matrix entries too small"))
                 else:
                     ends.append(ZERO_OBSERVATION)
-            finish(stops, ends, (correlation, candidates, selected))
+            correlation, candidates, selected = finish(stops, ends, (correlation, candidates, selected))
             if not b:
                 break
-            correlation, candidates, selected = correlation[:b], candidates[:b], selected[:b]
-            viewed = b
-            res_row, res3, takenb, floorb, bounds = views()
 
-        # Stacking pays once two or more OMP trials share the step.
-        stacked = omp and b > 1
-        if stacked:
+        if omp:
             _extend(a_t[selected][:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
             order[:b, iterations] = selected
-            takenb[bounds[:b], selected] = True
+            taken[bounds[:b], selected] = True
             size[:b] = [iterations + 1] * b
-        # Lane by lane: extend the factor and take the residual unless the
-        # group did, and refit.  least_squares rejects non-finite entries (a
-        # column whose norm exceeds the float range), applies the rank rule
-        # to diag R and back-substitutes.
+        # Lane by lane: extend a ROMP trial's factor, refit every trial and
+        # take a ROMP trial's residual.  least_squares rejects non-finite
+        # entries (a column whose norm exceeds the float range), applies the
+        # rank rule to diag R and back-substitutes.
         failed, errors = [], []
         for lane in range(b):
             qt_lane, r_lane, z_lane, x_col_lane, x_lane, res_lane = lane_views[lane]
             k = size[lane]
-            if not stacked:
-                chosen = selected[lane : lane + 1] if omp else selected[lane]
+            if not omp:
+                chosen = selected[lane]
                 _extend(a[:, chosen], qt_lane, r_lane, z_lane, x_col_lane, k)
                 order[lane, k : k + chosen.size] = chosen
                 taken[lane, chosen] = True
@@ -475,18 +446,15 @@ def _pursue(algo, a, measurements, sparsity, trace):
                 failed.append(lane)
                 errors.append(exc)
                 continue
-            if not stacked:
+            if not omp:
                 np.subtract(x_lane, z_lane[:k] @ qt_lane[:k], out=res_lane)
         if failed:
-            finish(failed, errors, (correlation, candidates, selected))
+            correlation, candidates, selected = finish(failed, errors, (correlation, candidates, selected))
             if not b:
                 break
-            correlation, candidates, selected = correlation[:b], candidates[:b], selected[:b]
-            viewed = b
-            res_row, res3, takenb, floorb, bounds = views()
-        if stacked:
+        if omp:
             k = iterations + 1
-            np.subtract(x[:b, None, :], z[:b, None, :k] @ qt[:b, :k], out=res_row)
+            np.subtract(x[:b, None, :], z[:b, None, :k] @ qt[:b, :k], out=residual[:b, None, :])
         iterations += 1
         if trace:
             for lane in range(b):
@@ -504,7 +472,8 @@ def _pursue(algo, a, measurements, sparsity, trace):
                         coefficients=np.ldexp(coefficients, exponent),
                     )
                 )
-        done = np.sqrt(res_row @ res3) <= floorb
+        active = residual[:b]
+        done = np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]
         if np.count_nonzero(done):
             finish(done.nonzero()[0].tolist(), ZERO_RESIDUAL)
         if not omp and b and max(size[:b]) >= 2 * sparsity:
@@ -521,12 +490,30 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
     order: the row's RecoveryResult, or the RankDeficiencyError or
     ValueError its recovery raised (other rows are unaffected).  Each entry
     is bit-identical to what :func:`romp_recover` / :func:`omp_recover`
-    returns or raises for that row alone.  Phi is validated once; rows are
-    recovered in blocks of :func:`lockstep_width` trials.
+    returns or raises for that row alone.  Rows are recovered in blocks of
+    :func:`lockstep_width` trials.
+
+    This is the one place recovery inputs are checked, once per call: an
+    unknown ``algo``, a non-finite or misshapen Phi or block, a row length
+    other than N, and a ``sparsity`` that is not an integer (as
+    ``operator.index`` sees it), is below 1 or exceeds d / 3 all raise
+    ``ValueError`` before any trial runs.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    a, x = _validated_inputs(matrix, measurements, sparsity, as_matrix)
+    a = as_matrix(matrix)
+    x = as_matrix(measurements)
+    if x.shape[1] != a.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: matrix has {a.shape[0]} rows, measurements have length {x.shape[1]}"
+        )
+    sparsity = as_integer(sparsity, "sparsity")
+    if sparsity < 1:
+        raise ValueError("sparsity must be at least 1")
+    if 3 * sparsity > a.shape[1]:
+        raise ValueError(
+            f"sparsity {sparsity} too large: need 3*sparsity <= {a.shape[1]} columns"
+        )
     width = lockstep_width(algo, a.shape[0], a.shape[1], sparsity)
     out = []
     for lo in range(0, len(x), width):
@@ -535,8 +522,7 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
 
 
 def _recover(algo, matrix, measurements, sparsity, trace):
-    a, x = _validated_inputs(matrix, measurements, sparsity, as_vector)
-    (result,) = _pursue(algo, a, x, sparsity, trace)
+    (result,) = recover_block(algo, matrix, as_vector(measurements)[None], sparsity, trace)
     if isinstance(result, Exception):
         raise result
     return result
@@ -553,8 +539,13 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
         Observed vector ``Phi @ v + e``.
     sparsity : int
         Target sparsity level n; also the per-iteration candidate budget.
+        Anything ``operator.index`` accepts; a float, even 3.0, is rejected.
     trace : bool, optional
         Record an :class:`IterationState` per iteration in ``result.trace``.
+
+    The call checks that ``measurements`` is one vector and runs
+    :func:`recover_block` on it as a block of one row, which checks the
+    rest.
 
     Runs at most ``sparsity`` iterations, stopping early once the selected
     index set reaches ``2 * sparsity`` indices, the observation vector
@@ -577,11 +568,12 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     :func:`rompkit.linalg.least_squares` applies to the diagonal of ``R``),
     which at sane sparsity levels signals a measurement matrix far from the
     isometry regime the algorithm expects.  Raises ``ValueError`` on
-    non-finite input, and when a selected column's norm or a least-squares
-    coefficient falls outside the float range.  Also raises ``ValueError``
-    when Phi lies below the normal float range and its correlation with a
-    nonzero residual underflows to zero; with a normal-range Phi, a zero
-    correlation ends the run with ``zero-observation``.
+    non-finite or misshapen input or a non-integer ``sparsity``, and when a
+    selected column's norm or a least-squares coefficient falls outside the
+    float range.  Also raises ``ValueError`` when Phi lies below the normal
+    float range and its correlation with a nonzero residual underflows to
+    zero; with a normal-range Phi, a zero correlation ends the run with
+    ``zero-observation``.
     """
     return _recover("romp", matrix, measurements, sparsity, trace)
 

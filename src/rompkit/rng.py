@@ -14,15 +14,19 @@ import numpy as np
 __all__ = ["substream", "derive_seed"]
 
 
+def _entropy(seed, path):
+    entropy = [int(seed)] + [int(p) for p in path]
+    if any(p < 0 for p in entropy):
+        raise ValueError("seed and stream path components must be non-negative")
+    return entropy
+
+
 def substream(seed, *path):
     """Return a ``numpy.random.Generator`` for the stream ``(seed, *path)``.
 
     ``seed`` and all path components must be non-negative integers.
     """
-    entropy = [int(seed)] + [int(p) for p in path]
-    if any(p < 0 for p in entropy):
-        raise ValueError("seed and stream path components must be non-negative")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_entropy(seed, path))))
 
 
 def derive_seed(seed, *path):
@@ -31,7 +35,4 @@ def derive_seed(seed, *path):
     Used where a config object wants to carry a plain integer seed (e.g. the
     per-trial seed recorded in a sweep CSV) rather than a generator.
     """
-    entropy = [int(seed)] + [int(p) for p in path]
-    if any(p < 0 for p in entropy):
-        raise ValueError("seed and stream path components must be non-negative")
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(_entropy(seed, path)).generate_state(1, np.uint64)[0])

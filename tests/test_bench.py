@@ -81,12 +81,41 @@ def test_config_rejects_repeated_grid_value(overrides, repeated):
     [
         dict(ensemble="partial-fourier-real", measurement_counts=(32, 33)),
         dict(signal_kind="power-law", power_exponent=0.5),
+        # Non-integral values are rejected, never truncated through int().
+        dict(sparsities=(2.5,)),
+        dict(measurement_counts=(32.9,)),
+        dict(seed=1.7),
+        dict(trials=2.5),
+        dict(dim=96.0),
+        dict(sparsities=(np.float64(2.0),)),
     ],
-    ids=["partial-fourier-odd-rows", "power-law-exponent-below-one"],
+    ids=[
+        "partial-fourier-odd-rows",
+        "power-law-exponent-below-one",
+        "fractional-sparsity",
+        "fractional-measurements",
+        "fractional-seed",
+        "fractional-trials",
+        "float-dim",
+        "numpy-float-sparsity",
+    ],
 )
 def test_config_rejects_cells_its_specs_reject(overrides):
     with pytest.raises(ValueError):
         small_config(**overrides)
+
+
+def test_config_accepts_numpy_integers():
+    config = small_config(
+        dim=np.int64(64),
+        sparsities=(np.int32(2),),
+        measurement_counts=(np.int64(32),),
+        trials=np.int64(3),
+        seed=np.uint8(11),
+    )
+    assert config == small_config()
+    values = (config.dim, config.trials, config.seed, *config.sparsities, *config.measurement_counts)
+    assert all(type(v) is int for v in values)
 
 
 # ------------------------------------------------------------------ trials

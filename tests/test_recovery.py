@@ -294,6 +294,25 @@ def test_romp_validates_inputs(gaussian_64x128):
     with pytest.raises(ValueError):
         # needs 3n <= d
         romp_recover(gaussian_64x128, np.zeros(64), 100)
+    # A float sparsity is never truncated, not even an integral one.
+    for sparsity in (3.0, 2.5, np.float64(2.0)):
+        for recover in (romp_recover, omp_recover):
+            with pytest.raises(ValueError, match="sparsity must be an integer"):
+                recover(gaussian_64x128, np.ones(64), sparsity)
+        with pytest.raises(ValueError, match="sparsity must be an integer"):
+            recover_block("omp", gaussian_64x128, np.ones((2, 64)), sparsity)
+
+
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_integer_like_sparsity_runs_as_its_value(recover, gaussian_64x128):
+    x = gaussian_64x128[:, 5] - 0.5 * gaussian_64x128[:, 40]
+    for n in (1, 2):
+        expected = recover(gaussian_64x128, x, n, trace=True)
+        for like in (np.int64(n), np.int32(n)) + ((True,) if n == 1 else ()):
+            result = recover(gaussian_64x128, x, like, trace=True)
+            assert result.estimate.tobytes() == expected.estimate.tobytes()
+            assert result.iterations == expected.iterations
+            assert result.termination == expected.termination
 
 
 def test_romp_rank_deficiency_carries_support():
@@ -681,16 +700,26 @@ def test_lockstep_results_do_not_depend_on_block_width_or_order(seed, algo, ense
         assert_same_outcome(got[position], lone[t])
 
 
-def test_block_validates_the_matrix_once(monkeypatch):
+@pytest.mark.parametrize(
+    "recover",
+    [
+        lambda phi, block: recover_block("romp", phi, block, 6),
+        lambda phi, block: romp_recover(phi, block[0], 6),
+        lambda phi, block: omp_recover(phi, block[0], 6),
+    ],
+    ids=["block", "romp", "omp"],
+)
+def test_block_validates_the_matrix_once(monkeypatch, recover):
+    # A lone call is a block of one, so it also scans Phi exactly once.
     phi, block = mixed_termination_block()
     scans = []
     real = recovery.as_matrix
     monkeypatch.setattr(recovery, "as_matrix", lambda m: scans.append(np.shape(m)) or real(m))
-    recover_block("romp", phi, block, 6)
+    recover(phi, block)
     assert scans.count(phi.shape) == 1
     phi[3, 7] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        recover_block("romp", phi, block, 6)
+        recover(phi, block)
 
 
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
