@@ -9,9 +9,13 @@ the trial, with fresh matrices), so replaying one trial takes the sweep's
 config plus the row's cell and trial index.  Rows are emitted in
 deterministic (cell, trial) order and floats are serialized with shortest
 round-trip formatting, making the CSV byte-stable under a fixed master seed.
-A shared-matrix cell recovers its trials in lockstep blocks
-(:func:`rompkit.recovery.recover_block`); each row still equals what
-:func:`run_trial` computes for that trial alone.
+A cell recovers its trials in lockstep blocks
+(:func:`rompkit.recovery.recover_block`) when they share a matrix, and a
+fresh-matrix partial-Fourier cell does too: a partial-Fourier matrix is a
+:class:`rompkit.ensembles.PartialFourier` operator, never built, and each
+lane carries its own trial's frequencies.  Any other fresh-matrix cell runs
+one trial at a time.  Either way each row equals what :func:`run_trial`
+computes for that trial alone.
 """
 
 import csv
@@ -20,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, build_matrix
+from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, PartialFourier, build_matrix, partial_fourier
 from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import derive_seed
@@ -108,7 +112,7 @@ class TrialOutcome:
     """A TrialRecord plus the vectors behind it, for invariant checks."""
 
     record: TrialRecord
-    matrix: np.ndarray
+    matrix: object  # np.ndarray, or a PartialFourier of one matrix
     signal: np.ndarray
     measured: np.ndarray
     estimate: np.ndarray
@@ -218,7 +222,11 @@ def _signal_spec(config, sparsity, seed):
 
 
 def build_cell_matrix(config, sparsity, measurements, trial=0):
-    """Measurement matrix for one sweep cell (trial-dependent only when fresh)."""
+    """Measurement matrix for one sweep cell (trial-dependent only when fresh).
+
+    A partial-Fourier cell gets its :class:`PartialFourier` operator, whose
+    dense form is the matrix; it is never built.
+    """
     path = [_STREAM_MATRIX, measurements, sparsity]
     if config.fresh_matrix_per_trial:
         path.append(trial)
@@ -228,7 +236,13 @@ def build_cell_matrix(config, sparsity, measurements, trial=0):
         cols=config.dim,
         seed=derive_seed(config.seed, *path),
     )
+    if spec.kind == PARTIAL_FOURIER_REAL:
+        return partial_fourier(spec)
     return build_matrix(spec)
+
+
+def _measure(matrix, vector):
+    return matrix.apply(vector) if isinstance(matrix, PartialFourier) else matrix @ vector
 
 
 @dataclass
@@ -250,7 +264,7 @@ def _draw(config, sparsity, measurements, trial, matrix):
     noise_seed = derive_seed(trial_seed, _STREAM_NOISE)
 
     base, base_support = generate_signal(_signal_spec(config, sparsity, signal_seed))
-    clean = matrix @ base
+    clean = _measure(matrix, base)
 
     sigma = config.sigma
     if sigma is None:
@@ -258,7 +272,7 @@ def _draw(config, sparsity, measurements, trial, matrix):
         sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(noise_dim)
     if config.noise_target == "signal":
         signal, _ = add_noise(base, NoiseSpec("signal", sigma, noise_seed))
-        measured = matrix @ signal
+        measured = _measure(matrix, signal)
         norm_e = 0.0
     else:
         signal = base
@@ -326,13 +340,23 @@ def _score(config, algo, sparsity, measurements, matrix, draw, result):
     )
 
 
-def _run_block(config, algo, sparsity, measurements, trials, matrix):
-    """TrialOutcomes of ``trials``, all through ``matrix``, recovered in one lockstep block."""
-    draws = [_draw(config, sparsity, measurements, trial, matrix) for trial in trials]
+def _run_block(config, algo, sparsity, measurements, trials, matrices):
+    """TrialOutcomes of ``trials``, recovered in one lockstep block.
+
+    Trial ``trials[i]`` is measured through ``matrices[i]``: one shared Phi,
+    or partial-Fourier operators of their own, which are recovered as one
+    stack of their frequencies.
+    """
+    draws = [_draw(config, sparsity, measurements, t, m) for t, m in zip(trials, matrices)]
+    phi = matrices[0]
+    if any(m is not phi for m in matrices):
+        phi = PartialFourier(np.array([m.freqs for m in matrices]), config.dim)
     results = recover_block(
-        algo, matrix, np.array([d.measured for d in draws]), sparsity, trace=config.trace
+        algo, phi, np.array([d.measured for d in draws]), sparsity, trace=config.trace
     )
-    return [_score(config, algo, sparsity, measurements, matrix, d, r) for d, r in zip(draws, results)]
+    return [
+        _score(config, algo, sparsity, measurements, m, d, r) for m, d, r in zip(matrices, draws, results)
+    ]
 
 
 def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
@@ -350,7 +374,7 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
         raise ValueError(f"unknown algorithm {algo!r}")
     if matrix is None:
         matrix = build_cell_matrix(config, sparsity, measurements, trial)
-    (outcome,) = _run_block(config, algo, sparsity, measurements, [trial], matrix)
+    (outcome,) = _run_block(config, algo, sparsity, measurements, [trial], [matrix])
     return outcome
 
 
@@ -358,17 +382,22 @@ def run_cell(config, algo, sparsity, measurements):
     """Yield the TrialOutcome of each trial of one cell, in trial order.
 
     A shared-matrix cell is recovered in lockstep blocks of
-    :func:`rompkit.recovery.lockstep_width` trials, a fresh-matrix cell one
-    trial at a time; either way each row equals :func:`run_trial`'s.
+    :func:`rompkit.recovery.lockstep_width` trials, and so is a fresh-matrix
+    partial-Fourier cell, each lane through its own trial's operator.  Any
+    other fresh-matrix cell runs one trial at a time.  Either way each row
+    equals :func:`run_trial`'s.
     """
-    if config.fresh_matrix_per_trial:
+    fresh = config.fresh_matrix_per_trial
+    if fresh and config.ensemble != PARTIAL_FOURIER_REAL:
         for trial in range(config.trials):
             yield run_trial(config, algo, sparsity, measurements, trial)
         return
-    matrix = build_cell_matrix(config, sparsity, measurements)
+    shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
     width = lockstep_width(algo, measurements, config.dim, sparsity)
     for lo in range(0, config.trials, width):
-        yield from _run_block(config, algo, sparsity, measurements, range(lo, min(lo + width, config.trials)), matrix)
+        trials = range(lo, min(lo + width, config.trials))
+        matrices = [build_cell_matrix(config, sparsity, measurements, t) if fresh else shared for t in trials]
+        yield from _run_block(config, algo, sparsity, measurements, trials, matrices)
 
 
 def _quantiles(values):
@@ -541,11 +570,12 @@ def truncated_error(signal, estimate, sparsity):
 
     Geometry guarantees this never exceeds three times the distance from the
     signal's best 2n-term approximation to the full estimate; sweeps in trace
-    mode assert that inequality on every trial.
+    mode assert that inequality on every trial.  ``sparsity`` must be an
+    integer; a float, even 2.0, raises ``ValueError``.
     """
     v = np.asarray(signal, dtype=np.float64)
     v_hat = np.asarray(estimate, dtype=np.float64)
-    m = 2 * int(sparsity)
+    m = 2 * as_integer(sparsity, "sparsity")
     return float(np.linalg.norm(best_m_term(v, m) - best_m_term(v_hat, m)))
 
 
@@ -553,7 +583,7 @@ def truncation_inequality_slack(signal, estimate, sparsity):
     """lhs - 3*rhs for the truncation inequality; non-positive (mod roundoff)."""
     v = np.asarray(signal, dtype=np.float64)
     v_hat = np.asarray(estimate, dtype=np.float64)
-    m = 2 * int(sparsity)
+    m = 2 * as_integer(sparsity, "sparsity")
     top = best_m_term(v, m)
     # lhs is truncated_error(v, v_hat, sparsity), sharing v's best 2n terms.
     lhs = float(np.linalg.norm(top - best_m_term(v_hat, m)))

@@ -3,13 +3,18 @@
 Matrices are scaled so that columns have unit Euclidean norm in expectation
 (unit up to roundoff for the trigonometric ensemble), which is what makes a
 restricted isometry constant in (0, 1) attainable at all.
+
+A partial-Fourier matrix is also available as an operator,
+:class:`PartialFourier`, that applies Phi and Phi^T through FFTs and
+gathers single columns without ever storing the N x d array.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_integer, as_matrix
 from .rng import substream
 
 __all__ = [
@@ -18,8 +23,10 @@ __all__ = [
     "PARTIAL_FOURIER_REAL",
     "ENSEMBLE_KINDS",
     "EnsembleSpec",
+    "PartialFourier",
     "RicEstimate",
     "build_matrix",
+    "partial_fourier",
     "probe_ric",
 ]
 
@@ -37,6 +44,10 @@ class EnsembleSpec:
     rows : number of measurements N (requires N <= cols)
     cols : ambient signal dimension d
     seed : non-negative integer; same spec => bit-identical matrix
+
+    ``rows``, ``cols`` and ``seed`` must be integers as ``operator.index``
+    sees them (numpy integers pass); a float, even 32.0, raises
+    ``ValueError`` rather than being truncated.
     """
 
     kind: str
@@ -45,6 +56,8 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rows", "cols", "seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.rows < 1 or self.cols < 1:
@@ -91,35 +104,144 @@ def build_matrix(spec):
                            sqrt(2/N) so every column has unit norm up to
                            roundoff
 
-    The trigonometric entries depend only on the phase index
+    The trigonometric matrix is :meth:`PartialFourier.dense` of
+    :func:`partial_fourier`.  Its entries depend only on the phase index
     m = (f j) mod d, which is reduced exactly in integer arithmetic.  Cosine
     and sine are evaluated once on the d angles 2 pi m / d, already scaled by
     sqrt(2/N), and the rows are gathered from those two tables.  So no angle
     is rounded before its reduction, and the build makes 2 d cosine and sine
     evaluations instead of N d.
     """
+    if spec.kind == PARTIAL_FOURIER_REAL:
+        return partial_fourier(spec).dense()
     rng = substream(spec.seed)
     n_rows, dim = spec.rows, spec.cols
     if spec.kind == GAUSSIAN:
         return rng.standard_normal((n_rows, dim)) / np.sqrt(n_rows)
-    if spec.kind == BERNOULLI:
-        signs = rng.integers(0, 2, size=(n_rows, dim)) * 2 - 1
-        return signs / np.sqrt(n_rows)
-    # partial-fourier-real; spec validation guarantees enough frequencies
-    n_pairs = n_rows // 2
-    available = np.arange(1, (dim - 1) // 2 + 1)
-    freqs = np.sort(rng.choice(available, size=n_pairs, replace=False))
-    grid = np.arange(dim)
-    # phase[k, j] = (f_k * j) mod d, exact in int64 since f_k * j < d**2.
-    # Subtracting the floor quotient is about twice as fast as numpy's %.
-    phase = np.outer(freqs, grid)
-    phase -= phase // dim * dim
-    angles = 2.0 * np.pi * grid / dim
-    scale = np.sqrt(2.0 / n_rows)
-    matrix = np.empty((n_rows, dim))
-    matrix[0::2] = (scale * np.cos(angles))[phase]
-    matrix[1::2] = (scale * np.sin(angles))[phase]
-    return matrix
+    signs = rng.integers(0, 2, size=(n_rows, dim)) * 2 - 1
+    return signs / np.sqrt(n_rows)
+
+
+def partial_fourier(spec):
+    """The partial-Fourier operator of ``spec``, never stored as an N x d array.
+
+    It holds the frequencies that :func:`build_matrix` draws for the same
+    spec, so its :meth:`PartialFourier.dense` is that matrix byte for byte.
+    """
+    if spec.kind != PARTIAL_FOURIER_REAL:
+        raise ValueError(f"{spec.kind} matrices have no partial-Fourier operator")
+    # spec validation guarantees enough frequencies
+    available = np.arange(1, (spec.cols - 1) // 2 + 1)
+    freqs = np.sort(substream(spec.seed).choice(available, size=spec.rows // 2, replace=False))
+    return PartialFourier(freqs, spec.cols)
+
+
+class PartialFourier:
+    """A real partial-Fourier Phi, or a stack of them, applied through FFTs.
+
+    ``freqs`` holds the N/2 frequencies of one matrix (1-D), or one row of
+    N/2 frequencies per lane of a stack of matrices (2-D).  Frequency f_k
+    contributes rows 2k and 2k + 1, ``sqrt(2/N) cos(2 pi f_k j / d)`` and
+    ``sqrt(2/N) sin(2 pi f_k j / d)`` for j < d, as in :func:`build_matrix`.
+    Within a lane, frequencies increase strictly and lie in 1..(d-1)//2.
+
+    A method given a block of vectors sends row i through lane i of a
+    stack; one matrix serves every row.  ``correlate`` (Phi^T r) is one
+    batched ``irfft`` and ``apply`` (Phi v) one ``rfft``; both match the
+    dense products to roundoff, and each row of a batch is computed as it
+    would be alone.  ``columns`` and ``dense`` gather entries from the
+    same two phase tables, so a gathered column is bit-equal to the dense
+    one.
+    """
+
+    def __init__(self, freqs, dim):
+        dim = as_integer(dim, "dim")
+        f = np.asarray(freqs)
+        if f.dtype.kind not in "iu" or f.ndim not in (1, 2) or not f.size:
+            raise ValueError(f"freqs must be a nonempty 1-D or 2-D integer array, got {f.dtype} of shape {f.shape}")
+        if not np.all(f[..., 1:] > f[..., :-1]):
+            raise ValueError("frequencies must increase strictly within a lane")
+        if f[..., 0].min() < 1 or f[..., -1].max() > (dim - 1) // 2:
+            raise ValueError(f"frequencies must lie in 1..{(dim - 1) // 2} at dimension {dim}")
+        self.freqs = f.astype(np.int64)
+        self.dim = dim
+        self.shape = (2 * f.shape[-1], dim)
+        self._scale = np.sqrt(2.0 / self.shape[0])
+
+    @functools.cached_property
+    def _tables(self):
+        # Cosine and sine on the d angles 2 pi m / d, already scaled, so each
+        # entry is a table lookup at its phase index m = (f j) mod d.
+        angles = 2.0 * np.pi * np.arange(self.dim) / self.dim
+        return self._scale * np.cos(angles), self._scale * np.sin(angles)
+
+    def _lane_freqs(self, rows):
+        """The frequencies that rows 0..rows-1 of a block go through."""
+        if self.freqs.ndim == 1:
+            return self.freqs
+        if rows > len(self.freqs):
+            raise ValueError(f"{rows} rows for a stack of {len(self.freqs)} lanes")
+        return self.freqs[:rows]
+
+    def _rows(self, phase):
+        """Interleaved cosine and sine rows (..., N, m) at phases f j (..., N/2, m).
+
+        The phase is reduced mod d exactly in integer arithmetic (f j < d**2
+        fits int64), so no angle is rounded before its reduction.
+        """
+        cos, sin = self._tables
+        phase %= self.dim
+        out = np.empty(phase.shape[:-2] + (self.shape[0], phase.shape[-1]))
+        out[..., 0::2, :] = cos[phase]
+        out[..., 1::2, :] = sin[phase]
+        return out
+
+    def correlate(self, residuals):
+        """Phi^T r for each row r of the (rows, N) block ``residuals``: (rows, d).
+
+        Row i's spectrum holds ``sqrt(2/N) (r_2k - i r_2k+1) / 2`` at its own
+        frequency f_k and zeros elsewhere, and one ``irfft`` over the block,
+        without the 1/d factor (``norm="forward"``), gives every row's sum of
+        cosines and sines.
+        """
+        r = np.ascontiguousarray(residuals, dtype=np.float64)
+        values = r.view(np.complex128).conj()
+        values *= 0.5 * self._scale
+        spectrum = np.zeros((len(r), self.dim // 2 + 1), dtype=np.complex128)
+        spectrum[np.arange(len(r))[:, None], self._lane_freqs(len(r))] = values
+        return np.fft.irfft(spectrum, self.dim, norm="forward")
+
+    def apply(self, v):
+        """Phi v for one vector of length d, or for each row of a (rows, d) block."""
+        v = np.asarray(v, dtype=np.float64)
+        block = v.reshape(-1, self.dim)
+        spectrum = np.fft.rfft(block)
+        picked = spectrum[np.arange(len(block))[:, None], self._lane_freqs(len(block))]
+        # conj(X_f) = sum v_j cos + i sum v_j sin, so its float view is the
+        # interleaved cosine and sine rows.
+        return (picked.conj() * self._scale).view(np.float64).reshape(v.shape[:-1] + (self.shape[0],))
+
+    def columns(self, index, lane=None):
+        """Columns of Phi, bit-equal to the same entries of :meth:`dense`.
+
+        With ``lane``, the columns ``index`` (1-D) of that lane's matrix, as
+        an (N, len(index)) array.  Without, one column per lane: entry i of
+        ``index`` picks lane i's column, and row i of the (len(index), N)
+        result holds it.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        if lane is None:
+            return self._rows(self._lane_freqs(len(index))[..., None] * index[:, None, None])[:, :, 0]
+        freqs = self.freqs[lane] if self.freqs.ndim == 2 else self.freqs
+        return self._rows(freqs[:, None] * index)
+
+    def dense(self):
+        """The N x d matrix, or a lanes x N x d array for a stack.
+
+        It equals :func:`build_matrix` for the spec the frequencies came
+        from, byte for byte.  The recovery loop never needs it.
+        """
+        return self._rows(self.freqs[..., None] * np.arange(self.dim))
 
 
 def probe_ric(matrix, sparsity, samples, seed=0):

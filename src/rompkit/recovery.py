@@ -13,8 +13,11 @@ iteration costs one correlation, work proportional to the new columns and
 a back-substitution in the small triangular system ``R y = Q^T x``.
 
 :func:`recover_block` runs the loop in lockstep over many measurement
-vectors through one matrix, and the single-vector entry points are blocks
-of one.  Each trial's result is bit-identical to its recovery alone.
+vectors, and the single-vector entry points are blocks of one.  Phi is a
+dense array or a :class:`rompkit.ensembles.PartialFourier` operator, which
+is never built: its correlation is one batched FFT, and each lane of a
+stacked operator carries its own trial's frequencies.  Each trial's result
+is bit-identical to its recovery alone.
 """
 
 import math
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensembles import PartialFourier
 from .linalg import (
     RankDeficiencyError,
     as_integer,
@@ -258,10 +262,37 @@ def _extend(columns, qt, r, z, x, k):
     np.matmul(q, x, out=z[..., None, k : k + 1])
 
 
-def _pursue(algo, a, measurements, sparsity, trace):
+class _Dense:
+    """A dense Phi behind the two methods the loop calls on a PartialFourier."""
+
+    def __init__(self, a):
+        self.a = a
+        self.shape = a.shape
+        self._a_t = a.T
+        self._at = self._a_t[None]
+
+    def correlate(self, residuals):
+        return (self._at @ residuals[:, :, None])[:, :, 0]
+
+    def columns(self, index, lane=None):
+        return self._a_t[index] if lane is None else self.a[:, index]
+
+
+def _underflows(phi):
+    """Whether every entry of Phi lies below the normal float range.
+
+    A partial-Fourier Phi never does: its first column holds sqrt(2/N).
+    """
+    return isinstance(phi, _Dense) and np.max(np.abs(phi.a)) < np.finfo(np.float64).tiny
+
+
+def _pursue(algo, phi, measurements, sparsity, trace):
     """The greedy loop shared by ROMP and OMP, run in lockstep over a block.
 
-    ``measurements`` holds one measurement vector per row, one trial each.
+    ``measurements`` holds one measurement vector per row, one trial each,
+    and ``phi`` is a :class:`_Dense` Phi or a PartialFourier, of one matrix
+    or stacked with one lane per row.  The loop touches Phi in three places
+    only: the correlation, the column gather and the underflow test.
     Returns one entry per row, in order: that trial's RecoveryResult, or the
     RankDeficiencyError or ValueError that ended it, which leaves the other
     trials untouched.
@@ -280,12 +311,15 @@ def _pursue(algo, a, measurements, sparsity, trace):
     extension path.  Active OMP trials all hold the same number of columns,
     so they extend and take their residuals as one stacked group, a block of
     one included.  ROMP trials select batches of different sizes, so each
-    extends on 2-D views of its own lane.  Every stacked product is one BLAS
-    call per lane with the shapes and strides a lone trial's product has, so
-    a trial's result does not depend on the block it runs in.
+    extends on 2-D views of its own lane.  A stacked operator's frequencies
+    are lane state too, and move with the rest when a lane is refilled.
+    Every stacked product is one BLAS call per lane with the shapes and
+    strides a lone trial's product has, and a batched FFT transforms each
+    row as it would alone, so a trial's result does not depend on the block
+    it runs in.
     ``least_squares`` and ``regularize`` run once per trial per iteration.
     """
-    rows, dim = a.shape
+    rows, dim = phi.shape
     width = len(measurements)
     capacity = _capacity(algo, rows, sparsity)
     # Work on x scaled by a power of two so that max|x| lies in [1/2, 1):
@@ -306,10 +340,10 @@ def _pursue(algo, a, measurements, sparsity, trace):
     size = [0] * width
     trial = list(range(width))
     lane_state = (x, floor, exponents, residual, r, z, order, coeffs, taken, size, trial)
+    if isinstance(phi, PartialFourier) and phi.freqs.ndim == 2:
+        lane_state += (phi.freqs,)
     states = [[] for _ in range(width)] if trace else None
     out = [None] * width
-    a_t = a.T
-    at = a_t[None]
     # Per-lane views for the lane-by-lane steps; they stay valid as lanes
     # are refilled, since each points at its lane's own memory.
     x_col = x[:, :, None]
@@ -365,7 +399,7 @@ def _pursue(algo, a, measurements, sparsity, trace):
         return tuple(extra[:b] for extra in extras)
 
     while b:
-        correlation = (at @ residual[:b, :, None])[:, :, 0]
+        correlation = phi.correlate(residual[:b])
         # In exact arithmetic the correlation vanishes on the selected set;
         # zero it explicitly so roundoff dust can never be re-selected.  That
         # also keeps every selection disjoint from the support.
@@ -404,7 +438,7 @@ def _pursue(algo, a, measurements, sparsity, trace):
                     # More columns than rows can never be refit; stop on the
                     # last fit.
                     ends.append(SUPPORT_BUDGET)
-                elif residual[lane].any() and np.max(np.abs(a)) < np.finfo(np.float64).tiny:
+                elif residual[lane].any() and _underflows(phi):
                     # A nonzero residual whose correlation with every column
                     # underflowed to zero: numerical, not x orthogonal to Phi.
                     ends.append(ValueError("correlation underflows to zero: matrix entries too small"))
@@ -415,7 +449,7 @@ def _pursue(algo, a, measurements, sparsity, trace):
                 break
 
         if omp:
-            _extend(a_t[selected][:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
+            _extend(phi.columns(selected)[:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
             order[:b, iterations] = selected
             taken[bounds[:b], selected] = True
             size[:b] = [iterations + 1] * b
@@ -429,7 +463,7 @@ def _pursue(algo, a, measurements, sparsity, trace):
             k = size[lane]
             if not omp:
                 chosen = selected[lane]
-                _extend(a[:, chosen], qt_lane, r_lane, z_lane, x_col_lane, k)
+                _extend(phi.columns(chosen, lane), qt_lane, r_lane, z_lane, x_col_lane, k)
                 order[lane, k : k + chosen.size] = chosen
                 taken[lane, chosen] = True
                 k += chosen.size
@@ -484,40 +518,52 @@ def _pursue(algo, a, measurements, sparsity, trace):
 
 
 def recover_block(algo, matrix, measurements, sparsity, trace=False):
-    """Recover every row of ``measurements`` through one ``matrix``, in lockstep.
+    """Recover every row of ``measurements`` through ``matrix``, in lockstep.
 
-    ``algo`` is ``"romp"`` or ``"omp"``.  Returns one entry per row, in
-    order: the row's RecoveryResult, or the RankDeficiencyError or
-    ValueError its recovery raised (other rows are unaffected).  Each entry
-    is bit-identical to what :func:`romp_recover` / :func:`omp_recover`
-    returns or raises for that row alone.  Rows are recovered in blocks of
-    :func:`lockstep_width` trials.
+    ``algo`` is ``"romp"`` or ``"omp"``.  ``matrix`` is a dense Phi or a
+    :class:`rompkit.ensembles.PartialFourier`: one matrix for every row, or
+    a stack with one lane per row, row i measured through lane i.  Returns
+    one entry per row, in order: the row's RecoveryResult, or the
+    RankDeficiencyError or ValueError its recovery raised (other rows are
+    unaffected).  Each entry is bit-identical to what :func:`romp_recover`
+    / :func:`omp_recover` returns or raises for that row alone, through its
+    own Phi.  Rows are recovered in blocks of :func:`lockstep_width` trials.
 
     This is the one place recovery inputs are checked, once per call: an
-    unknown ``algo``, a non-finite or misshapen Phi or block, a row length
-    other than N, and a ``sparsity`` that is not an integer (as
-    ``operator.index`` sees it), is below 1 or exceeds d / 3 all raise
-    ``ValueError`` before any trial runs.
+    unknown ``algo``, a non-finite or misshapen Phi or block, a stack whose
+    lane count is not the row count, a row length other than N, and a
+    ``sparsity`` that is not an integer (as ``operator.index`` sees it), is
+    below 1 or exceeds d / 3 all raise ``ValueError`` before any trial runs.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    a = as_matrix(matrix)
     x = as_matrix(measurements)
-    if x.shape[1] != a.shape[0]:
+    if isinstance(matrix, PartialFourier):
+        phi = matrix
+        stacked = phi.freqs.ndim == 2
+        if stacked and len(phi.freqs) != len(x):
+            raise ValueError(f"a stack of {len(phi.freqs)} lanes for {len(x)} measurement vectors")
+    else:
+        phi = _Dense(as_matrix(matrix))
+        stacked = False
+    rows, dim = phi.shape
+    if x.shape[1] != rows:
         raise ValueError(
-            f"dimension mismatch: matrix has {a.shape[0]} rows, measurements have length {x.shape[1]}"
+            f"dimension mismatch: matrix has {rows} rows, measurements have length {x.shape[1]}"
         )
     sparsity = as_integer(sparsity, "sparsity")
     if sparsity < 1:
         raise ValueError("sparsity must be at least 1")
-    if 3 * sparsity > a.shape[1]:
+    if 3 * sparsity > dim:
         raise ValueError(
-            f"sparsity {sparsity} too large: need 3*sparsity <= {a.shape[1]} columns"
+            f"sparsity {sparsity} too large: need 3*sparsity <= {dim} columns"
         )
-    width = lockstep_width(algo, a.shape[0], a.shape[1], sparsity)
+    width = lockstep_width(algo, rows, dim, sparsity)
     out = []
     for lo in range(0, len(x), width):
-        out += _pursue(algo, a, x[lo : lo + width], sparsity, trace)
+        # A block's lanes are permuted as trials finish, so a stack is copied.
+        block = PartialFourier(phi.freqs[lo : lo + width], dim) if stacked else phi
+        out += _pursue(algo, block, x[lo : lo + width], sparsity, trace)
     return out
 
 
@@ -533,8 +579,9 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
 
     Parameters
     ----------
-    matrix : (N, d) array
-        Measurement matrix; needs d >= 3 * sparsity.
+    matrix : (N, d) array or :class:`rompkit.ensembles.PartialFourier`
+        Measurement matrix; needs d >= 3 * sparsity.  An operator must be
+        one matrix, not a stack of several.
     measurements : (N,) array
         Observed vector ``Phi @ v + e``.
     sparsity : int
@@ -597,13 +644,15 @@ def energy_floor(sparsity):
 def verify_iteration_invariants(matrix, measurements, sparsity, result):
     """Check every per-iteration invariant on a traced recovery run.
 
-    Returns a list of human-readable violation strings (empty when clean):
+    ``matrix`` is a dense Phi or one PartialFourier matrix, whose dense
+    form the orthogonality check uses.  Returns a list of human-readable
+    violation strings (empty when clean):
     candidate budget, comparability of the selected magnitudes, disjointness
     from the previously selected set, the regularization energy floor,
     residual orthogonality on the selected columns, monotone support growth,
     and the iteration / support budgets.
     """
-    a = np.asarray(matrix, dtype=np.float64)
+    a = matrix.dense() if isinstance(matrix, PartialFourier) else np.asarray(matrix, dtype=np.float64)
     x = np.asarray(measurements, dtype=np.float64)
     norm_x = np.linalg.norm(x)
     floor = energy_floor(sparsity)

@@ -11,11 +11,14 @@ is what makes sweep output deterministic under parallel or reordered trials.
 
 import numpy as np
 
+from .linalg import as_integer
+
 __all__ = ["substream", "derive_seed"]
 
 
 def _entropy(seed, path):
-    entropy = [int(seed)] + [int(p) for p in path]
+    # Integers only, as operator.index sees them: a float is never truncated.
+    entropy = [as_integer(seed, "seed")] + [as_integer(p, "stream path component") for p in path]
     if any(p < 0 for p in entropy):
         raise ValueError("seed and stream path components must be non-negative")
     return entropy
@@ -24,7 +27,8 @@ def _entropy(seed, path):
 def substream(seed, *path):
     """Return a ``numpy.random.Generator`` for the stream ``(seed, *path)``.
 
-    ``seed`` and all path components must be non-negative integers.
+    ``seed`` and all path components must be non-negative integers;
+    anything else raises ``ValueError``.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_entropy(seed, path))))
 

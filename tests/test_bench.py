@@ -17,6 +17,7 @@ from rompkit.bench import (
     truncated_error,
     truncation_inequality_slack,
 )
+from rompkit.ensembles import PartialFourier
 from rompkit.recovery import verify_iteration_invariants
 from rompkit.rng import substream
 
@@ -298,17 +299,59 @@ def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("algo", ["romp", "omp"])
-@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
-def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble):
+@pytest.mark.parametrize(
+    "ensemble, fresh",
+    [("gaussian", False), ("bernoulli", False), ("partial-fourier-real", True)],
+    ids=["gaussian", "bernoulli", "fresh-partial-fourier"],
+)
+def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh):
     # A budget of about three lanes splits the 10-trial cell into several
-    # lockstep blocks; every row must still be the one run_trial gives.
-    config = small_config(trials=10, ensemble=ensemble, algorithms=(algo,), sparsities=(3,), trace=True)
+    # lockstep blocks; every row must still be the one run_trial gives.  In a
+    # fresh partial-Fourier cell each lane carries its own trial's operator.
+    config = small_config(
+        trials=10, ensemble=ensemble, algorithms=(algo,), sparsities=(3,), trace=True, fresh_matrix_per_trial=fresh
+    )
     lane_bytes = recovery.LOCKSTEP_BYTES // recovery.lockstep_width(algo, 32, 64, 3)
     monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", 3 * lane_bytes)
     assert recovery.lockstep_width(algo, 32, 64, 3) == 3
-    matrix = build_cell_matrix(config, 3, 32)
+    matrix = None if fresh else build_cell_matrix(config, 3, 32)
     outcomes = list(bench.run_cell(config, algo, 3, 32))
     assert [o.record for o in outcomes] == [run_trial(config, algo, 3, 32, t, matrix).record for t in range(10)]
+    if fresh:
+        freqs = [o.matrix.freqs for o in outcomes]
+        assert all(f.tobytes() == build_cell_matrix(config, 3, 32, t).freqs.tobytes() for t, f in enumerate(freqs))
+        assert len({f.tobytes() for f in freqs}) == 10
+
+
+def test_partial_fourier_cells_never_build_a_matrix(monkeypatch):
+    monkeypatch.setattr(bench, "build_matrix", lambda spec: pytest.fail("built a dense matrix"))
+    monkeypatch.setattr(PartialFourier, "dense", lambda self: pytest.fail("built a dense matrix"))
+    for fresh in (False, True):
+        config = small_config(ensemble="partial-fourier-real", algorithms=("romp", "omp"), fresh_matrix_per_trial=fresh)
+        assert len(run_sweep(config).records) == 6
+
+
+@pytest.mark.parametrize("noise_target", ["measurement", "signal"])
+def test_traced_fresh_partial_fourier_sweep_keeps_invariants(noise_target):
+    # run_sweep checks every trial's trace against the dense Phi of its own
+    # operator and raises on a violation; check the outcomes here as well.
+    config = small_config(
+        ensemble="partial-fourier-real",
+        signal_kind="power-law",
+        noise_target=noise_target,
+        sparsities=(2, 4),
+        measurement_counts=(16, 32),
+        trials=6,
+        algorithms=("romp", "omp"),
+        fresh_matrix_per_trial=True,
+        trace=True,
+    )
+    report = run_sweep(config)
+    assert len(report.records) == 48
+    for n in (2, 4):
+        for outcome in bench.run_cell(config, "romp", n, 32):
+            assert outcome.result is not None and outcome.result.trace
+            assert verify_iteration_invariants(outcome.matrix, outcome.measured, n, outcome.result) == []
 
 
 def test_non_finite_shared_matrix_fails_and_leaves_csv_untouched(tmp_path, monkeypatch):
@@ -357,6 +400,15 @@ def test_truncated_error_ignores_off_top_perturbation():
     v_hat[2] = 3.0
     v_hat[3] = 2.5
     assert truncated_error(v, v_hat, 1) == pytest.approx(0.0, abs=0.0)
+
+
+@pytest.mark.parametrize("measure", [truncated_error, truncation_inequality_slack])
+@pytest.mark.parametrize("sparsity", [2.5, 2.0, np.float64(1.0)])
+def test_truncation_measures_reject_non_integer_sparsity(measure, sparsity):
+    # Before, a sparsity of 2.5 silently ran as n = 2.
+    v = np.arange(10.0)
+    with pytest.raises(ValueError, match="sparsity must be an integer"):
+        measure(v, v[::-1], sparsity)
 
 
 def test_truncation_inequality_on_random_pairs():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rompkit.ensembles import EnsembleSpec, RicEstimate, build_matrix, probe_ric
+from rompkit.ensembles import (
+    EnsembleSpec,
+    PartialFourier,
+    RicEstimate,
+    build_matrix,
+    partial_fourier,
+    probe_ric,
+)
 from rompkit.rng import substream
 
 
@@ -24,6 +31,23 @@ def test_partial_fourier_rejects_too_many_frequencies():
     # 64 rows need 32 distinct frequencies but d=64 only offers 31
     with pytest.raises(ValueError):
         EnsembleSpec("partial-fourier-real", 64, 64, seed=0)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, seed",
+    [(32.5, 64, 1), (32, 64.0, 1), (32, 64, 1.5), (np.float64(32.0), 64, 1)],
+    ids=["fractional-rows", "float-cols", "fractional-seed", "numpy-float-rows"],
+)
+def test_spec_rejects_non_integer_sizes_and_seed(rows, cols, seed):
+    # Before, rows=32.5 constructed and seed=1.5 built seed 1's matrix.
+    with pytest.raises(ValueError, match="must be an integer"):
+        EnsembleSpec("gaussian", rows, cols, seed=seed)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = EnsembleSpec("gaussian", np.int64(32), np.int32(64), seed=np.uint8(1))
+    assert spec == EnsembleSpec("gaussian", 32, 64, seed=1)
+    assert all(type(v) is int for v in (spec.rows, spec.cols, spec.seed))
 
 
 def test_gaussian_mean_squared_column_norm_near_one():
@@ -129,3 +153,104 @@ def test_ric_estimate_fields():
     assert isinstance(est, RicEstimate)
     assert est.samples == 3
     assert 0.0 <= est.lower <= est.upper
+
+
+# ----------------------------------------------------- partial-Fourier operator
+
+PARTIAL_FOURIER_SHAPES = [(2, 5), (64, 256), (128, 509), (256, 512)]
+
+
+@pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES)
+def test_operator_dense_is_the_table_gathered_matrix(rows, dim):
+    spec = EnsembleSpec("partial-fourier-real", rows, dim, seed=12)
+    op = partial_fourier(spec)
+    dense = op.dense()
+    # The table gather that build_matrix made before the operator existed.
+    phase = np.outer(op.freqs, np.arange(dim)) % dim
+    angles = 2.0 * np.pi * np.arange(dim) / dim
+    scale = np.sqrt(2.0 / rows)
+    reference = np.empty((rows, dim))
+    reference[0::2] = (scale * np.cos(angles))[phase]
+    reference[1::2] = (scale * np.sin(angles))[phase]
+    assert dense.shape == (rows, dim) and dense.tobytes() == reference.tobytes()
+    assert build_matrix(spec).tobytes() == dense.tobytes()
+
+
+def stacked_operator(rows, dim, lanes, seed):
+    freqs = [partial_fourier(EnsembleSpec("partial-fourier-real", rows, dim, seed=seed + i)).freqs for i in range(lanes)]
+    return PartialFourier(np.array(freqs), dim)
+
+
+@pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES)
+def test_operator_columns_are_bit_equal_to_dense_columns(rows, dim):
+    op = stacked_operator(rows, dim, 4, seed=3)
+    dense = op.dense()
+    rng = substream(4)
+    for lane in range(4):
+        index = rng.choice(dim, size=min(dim, 7), replace=False)
+        assert op.columns(index, lane).tobytes() == dense[lane][:, index].tobytes()
+        assert PartialFourier(op.freqs[lane], dim).columns(index, 0).tobytes() == dense[lane][:, index].tobytes()
+    index = rng.integers(0, dim, size=4)
+    want = np.array([dense[lane][:, j] for lane, j in enumerate(index)])
+    assert op.columns(index).tobytes() == want.tobytes()
+    # One matrix serves every row.
+    single = PartialFourier(op.freqs[2], dim)
+    assert single.columns(index).tobytes() == dense[2][:, index].T.copy().tobytes()
+
+
+@pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES + [(512, 2048)])
+def test_operator_correlate_matches_dense_and_batches_bit_exactly(rows, dim):
+    op = stacked_operator(rows, dim, 9, seed=5)
+    dense = op.dense()
+    residuals = substream(6).standard_normal((9, rows))
+    got = op.correlate(residuals)
+    want = np.einsum("lnd,ln->ld", dense, residuals)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for lane in range(9):
+        alone = PartialFourier(op.freqs[lane], dim).correlate(residuals[lane : lane + 1])
+        assert alone.tobytes() == got[lane : lane + 1].tobytes()
+        # Any leading part of a stack is the same block.
+        assert op.correlate(residuals[: lane + 1]).tobytes() == got[: lane + 1].tobytes()
+    shared = PartialFourier(op.freqs[0], dim)
+    assert shared.correlate(residuals).tobytes() == np.concatenate(
+        [shared.correlate(residuals[i : i + 1]) for i in range(9)]
+    ).tobytes()
+
+
+@pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES + [(512, 2048)])
+def test_operator_apply_matches_dense(rows, dim):
+    op = stacked_operator(rows, dim, 3, seed=7)
+    dense = op.dense()
+    vectors = substream(8).standard_normal((3, dim))
+    got = op.apply(vectors)
+    want = np.einsum("lnd,ld->ln", dense, vectors)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for lane in range(3):
+        one = PartialFourier(op.freqs[lane], dim)
+        single = one.apply(vectors[lane])
+        assert single.shape == (rows,)
+        assert np.max(np.abs(single - dense[lane] @ vectors[lane])) <= 1e-13 * np.max(np.abs(want))
+        assert single.tobytes() == got[lane].tobytes()
+
+
+@pytest.mark.parametrize(
+    "freqs, dim",
+    [
+        ([1.0, 2.0], 16),  # not integers
+        ([0, 2], 16),  # zero frequency
+        ([3, 8], 16),  # above (d - 1) // 2 = 7
+        ([2, 2], 16),  # repeated
+        ([5, 2], 16),  # not increasing
+        ([[1, 2], [3, 3]], 16),  # repeated in one lane of a stack
+        ([], 16),
+        ([1, 2], 16.0),
+    ],
+)
+def test_operator_rejects_bad_frequencies(freqs, dim):
+    with pytest.raises(ValueError):
+        PartialFourier(np.array(freqs), dim)
+
+
+def test_operator_only_for_partial_fourier_specs():
+    with pytest.raises(ValueError):
+        partial_fourier(EnsembleSpec("gaussian", 8, 16, seed=0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rompkit import bench, recovery
-from rompkit.ensembles import EnsembleSpec, build_matrix
+from rompkit.ensembles import EnsembleSpec, PartialFourier, build_matrix, partial_fourier
 from rompkit.linalg import RankDeficiencyError
 from rompkit.recovery import (
     energy_floor,
@@ -593,12 +593,19 @@ def assert_same_outcome(got, want):
             assert identical(getattr(g, name), getattr(w, name)), name
 
 
+def row_matrix(phi, i):
+    """Row i's own Phi: its lane of a stacked operator, else ``phi`` itself."""
+    if isinstance(phi, PartialFourier) and phi.freqs.ndim == 2:
+        return PartialFourier(phi.freqs[i], phi.dim)
+    return phi
+
+
 def one_at_a_time(algo, phi, block, sparsity):
     recover = romp_recover if algo == "romp" else omp_recover
     outcomes = []
-    for x in block:
+    for i, x in enumerate(block):
         try:
-            outcomes.append(recover(phi, x, sparsity, trace=True))
+            outcomes.append(recover(row_matrix(phi, i), x, sparsity, trace=True))
         except ValueError as exc:
             outcomes.append(exc)
     return outcomes
@@ -674,30 +681,74 @@ def test_lockstep_block_shrinking_to_one_lane_mid_iteration(algo, zero_first):
     assert_block_matches_lone_calls(algo, phi, np.array(rows), 4)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     algo=st.sampled_from(["romp", "omp"]),
-    ensemble=st.sampled_from(["gaussian", "bernoulli", "partial-fourier-real"]),
+    ensemble=st.sampled_from(["gaussian", "bernoulli", "partial-fourier-real", "partial-fourier-operator", "stacked"]),
     trials=st.integers(1, 9),
     budget=st.sampled_from([1, 20_000, 60_000, recovery.LOCKSTEP_BYTES]),
     data=st.data(),
 )
 def test_lockstep_results_do_not_depend_on_block_width_or_order(seed, algo, ensemble, trials, budget, data):
+    # "partial-fourier-operator" is one partial-Fourier operator for every
+    # row; "stacked" gives each row its own frequency set, so a refilled lane
+    # must bring its trial's frequencies along.
     rng = substream(seed)
-    phi = build_matrix(EnsembleSpec(ensemble, 32, 96, seed=seed % 1000))
+    if ensemble == "stacked":
+        specs = [EnsembleSpec("partial-fourier-real", 32, 96, seed=(seed + t) % 1000) for t in range(trials)]
+        phi = PartialFourier(np.array([partial_fourier(spec).freqs for spec in specs]), 96)
+    elif ensemble == "partial-fourier-operator":
+        phi = partial_fourier(EnsembleSpec("partial-fourier-real", 32, 96, seed=seed % 1000))
+    else:
+        phi = build_matrix(EnsembleSpec(ensemble, 32, 96, seed=seed % 1000))
     block = []
-    for _ in range(trials):
+    for t in range(trials):
         v = np.zeros(96)
         v[rng.choice(96, size=4, replace=False)] = rng.standard_normal(4)
-        block.append(phi @ v + rng.choice([0.0, 0.05]) * rng.standard_normal(32))
+        clean = row_matrix(phi, t).apply(v) if isinstance(phi, PartialFourier) else phi @ v
+        block.append(clean + rng.choice([0.0, 0.05]) * rng.standard_normal(32))
     block = np.array(block)
     order = data.draw(st.permutations(range(trials)))
     lone = one_at_a_time(algo, phi, block, 4)
+    if ensemble == "stacked":
+        phi = PartialFourier(phi.freqs[order], 96)
     with mock.patch.object(recovery, "LOCKSTEP_BYTES", budget):
         got = recover_block(algo, phi, block[order], 4, trace=True)
     for position, t in enumerate(order):
         assert_same_outcome(got[position], lone[t])
+
+
+def test_stacked_operator_needs_one_lane_per_row():
+    specs = [EnsembleSpec("partial-fourier-real", 32, 96, seed=s) for s in range(3)]
+    phi = PartialFourier(np.array([partial_fourier(spec).freqs for spec in specs]), 96)
+    with pytest.raises(ValueError, match="a stack of 3 lanes for 2"):
+        recover_block("romp", phi, np.ones((2, 32)), 4)
+    with pytest.raises(ValueError, match="a stack of 3 lanes for 1"):
+        romp_recover(phi, np.ones(32), 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        recover_block("omp", phi, np.ones((3, 30)), 4)
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+def test_operator_recovery_matches_dense_recovery(algo):
+    # The operator's columns are bit-equal to the dense ones and only the
+    # correlation is computed differently, so on the same x the supports,
+    # iterations and terminations agree, and so do the estimates to roundoff.
+    spec = EnsembleSpec("partial-fourier-real", 64, 256, seed=3)
+    op, dense = partial_fourier(spec), build_matrix(spec)
+    rng = substream(4)
+    for _ in range(20):
+        v = np.zeros(256)
+        v[rng.choice(256, size=6, replace=False)] = rng.standard_normal(6)
+        x = dense @ v + rng.choice([0.0, 0.05]) * rng.standard_normal(64)
+        got, want = recover_block(algo, op, x[None], 6, trace=True)[0], recover_block(algo, dense, x[None], 6, trace=True)[0]
+        assert np.array_equal(got.support, want.support)
+        assert (got.iterations, got.termination) == (want.iterations, want.termination)
+        assert np.max(np.abs(got.estimate - want.estimate)) <= 1e-12 * np.max(np.abs(want.estimate))
+        for g, w in zip(got.trace, want.trace):
+            assert np.max(np.abs(g.correlation - w.correlation)) <= 1e-12 * np.max(np.abs(w.correlation))
+        assert verify_iteration_invariants(op, x, 6, got) == []
 
 
 @pytest.mark.parametrize(
