@@ -150,10 +150,10 @@ class SweepConfig:
 
     Construction checks the whole grid: it rejects a ``dim``, ``trials``,
     ``seed`` or grid value that is not an integer (floats are never
-    truncated), a repeated sparsity, measurement count or algorithm, and
-    builds the noise spec, one ensemble spec per N and one signal spec per
-    n, so an invalid cell raises ``ValueError`` here, before a sweep opens
-    any output file.
+    truncated) or is below its bound, a repeated sparsity, measurement
+    count or algorithm, and builds the noise spec, one ensemble spec per N
+    and one signal spec per n, so an invalid cell raises ``ValueError``
+    here, before a sweep opens any output file.
     """
 
     dim: int
@@ -174,13 +174,11 @@ class SweepConfig:
     fresh_matrix_per_trial: bool = False
 
     def __post_init__(self):
-        for name in ("dim", "trials", "seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name, minimum in (("dim", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
         for name in ("sparsities", "measurement_counts"):
-            object.__setattr__(self, name, tuple(as_integer(v, f"each of {name}") for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(as_integer(v, f"each of {name}", 1) for v in getattr(self, name)))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if not self.sparsities or not self.measurement_counts:
             raise ValueError("sparsities and measurement_counts must be nonempty")
         for name in ("sparsities", "measurement_counts", "algorithms"):
@@ -192,8 +190,6 @@ class SweepConfig:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
         for n in self.sparsities:
-            if n < 1:
-                raise ValueError("sparsity levels must be positive")
             if 3 * n > self.dim:
                 raise ValueError(f"sparsity {n} too large: need 3*n <= dim = {self.dim}")
             _signal_spec(self, n, self.seed)
@@ -340,13 +336,18 @@ def _score(config, algo, sparsity, measurements, matrix, draw, result):
     )
 
 
-def _run_block(config, algo, sparsity, measurements, trials, matrices):
+def _run_block(config, algo, sparsity, measurements, trials, matrix=None):
     """TrialOutcomes of ``trials``, recovered in one lockstep block.
 
-    Trial ``trials[i]`` is measured through ``matrices[i]``: one shared Phi,
-    or partial-Fourier operators of their own, which are recovered as one
-    stack of their frequencies.
+    Every trial is measured through ``matrix``, or, when that is None,
+    through its own :func:`build_cell_matrix`; partial-Fourier operators of
+    their own are recovered as one stack of their frequencies.  Matrices
+    built here are held only by the returned outcomes.
     """
+    if matrix is None:
+        matrices = [build_cell_matrix(config, sparsity, measurements, t) for t in trials]
+    else:
+        matrices = [matrix] * len(trials)
     draws = [_draw(config, sparsity, measurements, t, m) for t, m in zip(trials, matrices)]
     phi = matrices[0]
     if any(m is not phi for m in matrices):
@@ -370,11 +371,7 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
     termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
     exactly; any other name raises ``ValueError``.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if matrix is None:
-        matrix = build_cell_matrix(config, sparsity, measurements, trial)
-    (outcome,) = _run_block(config, algo, sparsity, measurements, [trial], [matrix])
+    (outcome,) = _run_block(config, algo, sparsity, measurements, [trial], matrix)
     return outcome
 
 
@@ -384,20 +381,17 @@ def run_cell(config, algo, sparsity, measurements):
     A shared-matrix cell is recovered in lockstep blocks of
     :func:`rompkit.recovery.lockstep_width` trials, and so is a fresh-matrix
     partial-Fourier cell, each lane through its own trial's operator.  Any
-    other fresh-matrix cell runs one trial at a time.  Either way each row
+    other fresh-matrix cell runs in blocks of one trial, each matrix built
+    once the previous one is held only by its outcome.  Either way each row
     equals :func:`run_trial`'s.
     """
     fresh = config.fresh_matrix_per_trial
-    if fresh and config.ensemble != PARTIAL_FOURIER_REAL:
-        for trial in range(config.trials):
-            yield run_trial(config, algo, sparsity, measurements, trial)
-        return
     shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
-    width = lockstep_width(algo, measurements, config.dim, sparsity)
+    stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL
+    width = lockstep_width(algo, measurements, config.dim, sparsity) if stackable else 1
     for lo in range(0, config.trials, width):
         trials = range(lo, min(lo + width, config.trials))
-        matrices = [build_cell_matrix(config, sparsity, measurements, t) if fresh else shared for t in trials]
-        yield from _run_block(config, algo, sparsity, measurements, trials, matrices)
+        yield from _run_block(config, algo, sparsity, measurements, trials, shared)
 
 
 def _quantiles(values):

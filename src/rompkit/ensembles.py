@@ -41,8 +41,8 @@ class EnsembleSpec:
     """Recipe for one random measurement matrix.
 
     kind : one of ``ENSEMBLE_KINDS``
-    rows : number of measurements N (requires N <= cols)
-    cols : ambient signal dimension d
+    rows : number of measurements N, at least 1 (requires N <= cols)
+    cols : ambient signal dimension d, at least 1
     seed : non-negative integer; same spec => bit-identical matrix
 
     ``rows``, ``cols`` and ``seed`` must be integers as ``operator.index``
@@ -56,16 +56,12 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rows", "cols", "seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name, minimum in (("rows", 1), ("cols", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
         if self.rows > self.cols:
             raise ValueError(f"rows ({self.rows}) must not exceed cols ({self.cols})")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.kind == PARTIAL_FOURIER_REAL:
             if self.rows % 2 != 0:
                 raise ValueError("partial-fourier-real needs an even number of rows (cosine/sine pairs)")
@@ -155,7 +151,7 @@ class PartialFourier:
     """
 
     def __init__(self, freqs, dim):
-        dim = as_integer(dim, "dim")
+        dim = as_integer(dim, "dim", 1)
         f = np.asarray(freqs)
         if f.dtype.kind not in "iu" or f.ndim not in (1, 2) or not f.size:
             raise ValueError(f"freqs must be a nonempty 1-D or 2-D integer array, got {f.dtype} of shape {f.shape}")
@@ -252,14 +248,15 @@ def probe_ric(matrix, sparsity, samples, seed=0):
     ratios.  Each sample uses its own substream ``(seed, sample_index)``, so
     enlarging ``samples`` keeps all earlier draws: the estimate is
     non-decreasing under nested sampling.  ``matrix`` must be a nonempty
-    2-D array of finite entries, or ``ValueError`` is raised.
+    2-D array of finite entries, ``sparsity`` an integer in [1, d] and
+    ``samples`` a positive integer (never a float), or ``ValueError`` is raised.
     """
     m = as_matrix(matrix)
     dim = m.shape[1]
-    if not 1 <= sparsity <= dim:
+    sparsity = as_integer(sparsity, "sparsity", 1)
+    samples = as_integer(samples, "samples", 1)
+    if sparsity > dim:
         raise ValueError(f"sparsity must be in [1, {dim}], got {sparsity}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     lower = np.inf
     upper = 0.0
     for i in range(samples):
@@ -275,9 +272,9 @@ def probe_ric(matrix, sparsity, samples, seed=0):
         lower = min(lower, ratio)
         upper = max(upper, ratio)
     return RicEstimate(
-        sparsity=int(sparsity),
+        sparsity=sparsity,
         lower=float(lower),
         upper=float(upper),
         epsilon_hat=float(max(1.0 - lower, upper - 1.0)),
-        samples=int(samples),
+        samples=samples,
     )

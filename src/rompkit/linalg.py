@@ -46,16 +46,22 @@ class RankDeficiencyError(ValueError):
         super().__init__(msg)
 
 
-def as_integer(value, name):
+def as_integer(value, name, minimum=None):
     """``value`` as a Python int, or ``ValueError`` naming ``name``.
 
     Anything ``operator.index`` accepts passes, numpy integers included;
-    a float does not, even an integral one, so it is never truncated.
+    a float does not, even an integral one, so it is never truncated.  It
+    is the package's one count and seed check: ``minimum`` is 1 for sizes,
+    counts and sparsities and 0 for seeds and stream-path entries.
     """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def as_matrix(m):

@@ -108,10 +108,10 @@ def identify(observation, sparsity):
 
     A 2-D ``observation`` holds one observation per row and gives the
     ``(rows, indices)`` pairs of all rows' selections in ``np.nonzero``
-    order, so each row selects what it would alone.
+    order, so each row selects what it would alone.  A float ``sparsity``,
+    even 2.0, raises ``ValueError``, as does one below 1.
     """
-    if sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
+    sparsity = as_integer(sparsity, "sparsity", 1)
     magnitudes = np.abs(np.asarray(observation, dtype=np.float64))
     block = magnitudes if magnitudes.ndim == 2 else magnitudes.reshape(1, -1)
     if sparsity == 1:
@@ -551,9 +551,7 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
         raise ValueError(
             f"dimension mismatch: matrix has {rows} rows, measurements have length {x.shape[1]}"
         )
-    sparsity = as_integer(sparsity, "sparsity")
-    if sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
+    sparsity = as_integer(sparsity, "sparsity", 1)
     if 3 * sparsity > dim:
         raise ValueError(
             f"sparsity {sparsity} too large: need 3*sparsity <= {dim} columns"

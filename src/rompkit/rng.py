@@ -17,11 +17,7 @@ __all__ = ["substream", "derive_seed"]
 
 
 def _entropy(seed, path):
-    # Integers only, as operator.index sees them: a float is never truncated.
-    entropy = [as_integer(seed, "seed")] + [as_integer(p, "stream path component") for p in path]
-    if any(p < 0 for p in entropy):
-        raise ValueError("seed and stream path components must be non-negative")
-    return entropy
+    return [as_integer(seed, "seed", 0)] + [as_integer(p, "stream path component", 0) for p in path]
 
 
 def substream(seed, *path):

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_integer
 from .rng import substream
 
 __all__ = [
@@ -33,8 +34,9 @@ class SignalSpec:
     """Description of one test signal.
 
     Sparse kinds use ``sparsity`` (number of nonzeros); the power-law kind
-    uses ``exponent`` p > 1 and ``scale`` so the k-th largest magnitude is
-    scale * k**-p.
+    uses ``exponent`` p > 1 and a finite ``scale`` > 0 so the k-th largest
+    magnitude is scale * k**-p.  ``dim``, ``sparsity`` and ``seed`` are
+    checked and stored as ints by :func:`rompkit.linalg.as_integer`.
     """
 
     kind: str
@@ -47,23 +49,23 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        object.__setattr__(self, "dim", as_integer(self.dim, "dim", 1))
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed", 0))
         if self.kind in (FLAT_SPARSE, GAUSSIAN_SPARSE):
-            if self.sparsity is None or not 1 <= self.sparsity <= self.dim:
+            object.__setattr__(self, "sparsity", as_integer(self.sparsity, "sparsity", 1))
+            if self.sparsity > self.dim:
                 raise ValueError(f"sparsity must be in [1, {self.dim}] for {self.kind} signals")
         else:
-            if self.exponent is None or self.exponent <= 1.0:
+            # Negated comparisons, so NaN fails them.
+            if self.exponent is None or not self.exponent > 1.0:
                 raise ValueError("power-law exponent must exceed 1")
-            if self.scale is None or self.scale <= 0.0:
-                raise ValueError("power-law scale must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            if self.scale is None or not 0.0 < self.scale < math.inf:
+                raise ValueError("power-law scale must be finite and positive")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive i.i.d. Gaussian noise: target vector kind and per-entry sigma."""
+    """Additive i.i.d. Gaussian noise: target vector kind, per-entry sigma, integer seed."""
 
     target: str
     sigma: float
@@ -74,8 +76,7 @@ class NoiseSpec:
             raise ValueError(f"noise target must be one of {NOISE_TARGETS}, got {self.target!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed", 0))
 
 
 def generate_signal(spec):
@@ -103,12 +104,12 @@ def generate_signal(spec):
 def best_m_term(vec, m):
     """Keep the ``m`` largest-magnitude entries of ``vec``, zero the rest.
 
-    Ties are broken toward lower indices.  ``m = 0`` gives the zero vector;
-    ``m >= len(vec)`` returns a copy of ``vec``.
+    Ties are broken toward lower indices.  ``m`` is a non-negative integer
+    (a float, even 2.0, raises ``ValueError``); ``m = 0`` gives the zero
+    vector and ``m >= len(vec)`` a copy of ``vec``.
     """
+    m = as_integer(m, "m", 0)
     w = np.asarray(vec, dtype=np.float64)
-    if m < 0:
-        raise ValueError("m must be non-negative")
     if m >= w.shape[0]:
         return w.copy()
     out = np.zeros_like(w)

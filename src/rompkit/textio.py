@@ -8,22 +8,25 @@ write/read cycle is lossless.
 
 import numpy as np
 
+from .linalg import as_integer
+
 __all__ = ["read_matrix", "write_matrix", "read_vector", "write_vector"]
 
 
-def _read_tokens(path, header_count):
+def _read_tokens(path, header_names):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     body = [line for line in lines if line.strip()]
     if not body:
         raise ValueError(f"{path}: empty file")
     header = body[0].split()
-    if len(header) != header_count:
-        raise ValueError(f"{path}: expected {header_count} header field(s), got {len(header)}")
+    if len(header) != len(header_names):
+        raise ValueError(f"{path}: expected {len(header_names)} header field(s), got {len(header)}")
     try:
         dims = [int(tok) for tok in header]
     except ValueError as exc:
         raise ValueError(f"{path}: malformed header {body[0]!r}") from exc
+    dims = [as_integer(value, f"{path}: {name}", 1) for value, name in zip(dims, header_names)]
     tokens = [tok for line in body[1:] for tok in line.split()]
     try:
         values = np.array([float(tok) for tok in tokens])
@@ -35,9 +38,7 @@ def _read_tokens(path, header_count):
 
 
 def read_matrix(path):
-    (rows, cols), values = _read_tokens(path, 2)
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: matrix dimensions must be positive")
+    (rows, cols), values = _read_tokens(path, ("rows", "cols"))
     if values.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {values.size}")
     return values.reshape(rows, cols)
@@ -52,9 +53,7 @@ def write_matrix(path, matrix):
 
 
 def read_vector(path):
-    (length,), values = _read_tokens(path, 1)
-    if length < 1:
-        raise ValueError(f"{path}: vector length must be positive")
+    (length,), values = _read_tokens(path, ("length",))
     if values.size != length:
         raise ValueError(f"{path}: expected {length} entries, found {values.size}")
     return values

@@ -1,4 +1,6 @@
 import csv
+import gc
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -89,6 +91,10 @@ def test_config_rejects_repeated_grid_value(overrides, repeated):
         dict(trials=2.5),
         dict(dim=96.0),
         dict(sparsities=(np.float64(2.0),)),
+        # NaN passes a plain `<=` bound test; the cell would fail mid-sweep.
+        dict(signal_kind="power-law", power_exponent=float("nan")),
+        dict(signal_kind="power-law", power_scale=float("inf")),
+        dict(signal_kind="power-law", power_scale=float("nan")),
     ],
     ids=[
         "partial-fourier-odd-rows",
@@ -99,6 +105,9 @@ def test_config_rejects_repeated_grid_value(overrides, repeated):
         "fractional-trials",
         "float-dim",
         "numpy-float-sparsity",
+        "power-law-exponent-nan",
+        "power-law-scale-inf",
+        "power-law-scale-nan",
     ],
 )
 def test_config_rejects_cells_its_specs_reject(overrides):
@@ -301,13 +310,20 @@ def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, monkeypatch):
 @pytest.mark.parametrize("algo", ["romp", "omp"])
 @pytest.mark.parametrize(
     "ensemble, fresh",
-    [("gaussian", False), ("bernoulli", False), ("partial-fourier-real", True)],
-    ids=["gaussian", "bernoulli", "fresh-partial-fourier"],
+    [
+        ("gaussian", False),
+        ("bernoulli", False),
+        ("partial-fourier-real", True),
+        ("gaussian", True),
+        ("bernoulli", True),
+    ],
+    ids=["gaussian", "bernoulli", "fresh-partial-fourier", "fresh-gaussian", "fresh-bernoulli"],
 )
 def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh):
     # A budget of about three lanes splits the 10-trial cell into several
     # lockstep blocks; every row must still be the one run_trial gives.  In a
-    # fresh partial-Fourier cell each lane carries its own trial's operator.
+    # fresh partial-Fourier cell each lane carries its own trial's operator;
+    # a fresh dense cell runs blocks of one trial, each with its own matrix.
     config = small_config(
         trials=10, ensemble=ensemble, algorithms=(algo,), sparsities=(3,), trace=True, fresh_matrix_per_trial=fresh
     )
@@ -317,10 +333,41 @@ def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh
     matrix = None if fresh else build_cell_matrix(config, 3, 32)
     outcomes = list(bench.run_cell(config, algo, 3, 32))
     assert [o.record for o in outcomes] == [run_trial(config, algo, 3, 32, t, matrix).record for t in range(10)]
-    if fresh:
+    if fresh and ensemble == "partial-fourier-real":
         freqs = [o.matrix.freqs for o in outcomes]
         assert all(f.tobytes() == build_cell_matrix(config, 3, 32, t).freqs.tobytes() for t, f in enumerate(freqs))
         assert len({f.tobytes() for f in freqs}) == 10
+    elif fresh:
+        assert all(np.array_equal(o.matrix, build_cell_matrix(config, 3, 32, t)) for t, o in enumerate(outcomes))
+        assert len({o.matrix.tobytes() for o in outcomes}) == 10
+
+
+def test_fresh_dense_sweep_holds_one_matrix_at_a_time(monkeypatch):
+    # run_sweep drops each outcome before the next trial; then no earlier
+    # fresh matrix may still be alive when the next one is built.
+    refs = []
+    alive_at_build = []
+
+    def tracked(spec):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        matrix = build_matrix(spec)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    build_matrix = bench.build_matrix
+    monkeypatch.setattr(bench, "build_matrix", tracked)
+    for ensemble in ("gaussian", "bernoulli"):
+        config = small_config(
+            ensemble=ensemble,
+            measurement_counts=(16, 32),
+            trials=4,
+            algorithms=("romp", "omp"),
+            fresh_matrix_per_trial=True,
+            trace=True,
+        )
+        assert len(run_sweep(config).records) == 16
+    assert alive_at_build == [0] * 32
 
 
 def test_partial_fourier_cells_never_build_a_matrix(monkeypatch):
@@ -375,6 +422,37 @@ def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):
     bad = str(tmp_path / "missing-dir" / "out.csv")
     with pytest.raises(OSError):
         run_sweep(small_config(csv_path=bad))
+
+
+def test_rank_deficient_trials_score_as_failures():
+    # Every column has a twin, so ROMP's first selection takes a pair of
+    # equal columns and its refit is rank-deficient.
+    config = small_config(sigma=0.0)
+    phi = build_cell_matrix(config, 2, 32)
+    phi[:, 1::2] = phi[:, 0::2]
+    records = []
+    for trial in range(3):
+        outcome = run_trial(config, "romp", 2, 32, trial, matrix=phi)
+        record = outcome.record
+        assert (record.termination, record.iterations, record.support_hit) == ("rank-deficient", 0, 0.0)
+        assert outcome.result is None
+        assert not np.any(outcome.estimate)
+        assert record.err2 == np.linalg.norm(outcome.signal)
+        records.append(record)
+    recovered = run_trial(config, "romp", 2, 32, 0).record
+    assert recovered.termination != "rank-deficient"
+    (cell,) = aggregate_records(records + [recovered])
+    assert (cell.trials, cell.failures) == (4, 3)
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+def test_trial_raises_other_recovery_errors(algo):
+    # Only a RankDeficiencyError is scored; a subnormal Phi's overflow
+    # ValueError must come out of run_trial.
+    config = small_config()
+    phi = np.ldexp(build_cell_matrix(config, 2, 32), -1030)
+    with pytest.raises(ValueError, match="coefficients overflow"):
+        run_trial(config, algo, 2, 32, 0, matrix=phi)
 
 
 def test_report_aggregates_match_records():

@@ -42,6 +42,13 @@ def test_matrix_file_validation(tmp_path):
     nan.write_text("1\nnan\n")
     with pytest.raises(ValueError):
         textio.read_vector(str(nan))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 2\n")
+    with pytest.raises(ValueError, match="rows must be at least 1, got 0"):
+        textio.read_matrix(str(empty))
+    empty.write_text("0\n")
+    with pytest.raises(ValueError, match="length must be at least 1, got 0"):
+        textio.read_vector(str(empty))
 
 
 def test_recover_roundtrip(recovery_files, tmp_path, capsys):
@@ -153,8 +160,19 @@ def test_sweep_rejects_bad_grid(capsys):
         ["--signal", "power-law", "--exponent", "0.5"],
         ["--sigma", "nan"],
         ["--measurements", "32,32"],
+        ["--signal", "power-law", "--exponent", "nan"],
+        ["--signal", "power-law", "--scale", "inf"],
+        ["--signal", "power-law", "--scale", "nan", "--sigma", "0"],
     ],
-    ids=["partial-fourier-odd-rows", "power-law-exponent-below-one", "sigma-nan", "repeated-measurements"],
+    ids=[
+        "partial-fourier-odd-rows",
+        "power-law-exponent-below-one",
+        "sigma-nan",
+        "repeated-measurements",
+        "power-law-exponent-nan",
+        "power-law-scale-inf",
+        "power-law-scale-nan",
+    ],
 )
 def test_sweep_rejecting_grid_leaves_existing_csv(tmp_path, capsys, grid):
     csv_path = tmp_path / "out.csv"
@@ -164,6 +182,12 @@ def test_sweep_rejecting_grid_leaves_existing_csv(tmp_path, capsys, grid):
     assert "error:" in capsys.readouterr().err
     assert csv_path.read_bytes() == b"precious\n"
     assert not (tmp_path / "out.agg.csv").exists()
+    # Nor does a rejected grid create an output file where there was none.
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    outputs = ["--csv", str(fresh / "out.csv"), "--svg", str(fresh / "out.svg")]
+    assert cli.main(["sweep", *grid, "--sparsity", "4", "--trials", "2", *outputs]) == 1
+    assert list(fresh.iterdir()) == []
 
 
 def test_sweep_rejects_malformed_list():

@@ -2,8 +2,59 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rompkit.bench import SweepConfig
+from rompkit.ensembles import EnsembleSpec, probe_ric
 from rompkit.linalg import RankDeficiencyError, least_squares
-from rompkit.rng import substream
+from rompkit.recovery import identify, recover_block
+from rompkit.rng import derive_seed, substream
+from rompkit.signals import NoiseSpec, SignalSpec, best_m_term
+
+
+def _sweep(**overrides):
+    grid = dict(dim=16, sparsities=(2,), measurement_counts=(8,), trials=1, seed=0)
+    return SweepConfig(**{**grid, **overrides})
+
+
+# Every public entry that takes a count or a seed, as (call, accepted value,
+# lower bound): each goes through rompkit.linalg.as_integer.
+COUNT_AND_SEED_SITES = {
+    "EnsembleSpec-rows": (lambda v: EnsembleSpec("gaussian", v, 8), 4, 1),
+    "EnsembleSpec-cols": (lambda v: EnsembleSpec("gaussian", 1, v), 4, 1),
+    "EnsembleSpec-seed": (lambda v: EnsembleSpec("gaussian", 4, 8, seed=v), 3, 0),
+    "SignalSpec-dim": (lambda v: SignalSpec("flat-sparse", v, sparsity=1), 8, 1),
+    "SignalSpec-sparsity": (lambda v: SignalSpec("flat-sparse", 8, sparsity=v), 2, 1),
+    "SignalSpec-seed": (lambda v: SignalSpec("power-law", 8, exponent=2.0, scale=1.0, seed=v), 3, 0),
+    "NoiseSpec-seed": (lambda v: NoiseSpec("signal", 0.1, seed=v), 3, 0),
+    "best_m_term-m": (lambda v: best_m_term(np.ones(4), v), 2, 0),
+    "SweepConfig-dim": (lambda v: _sweep(dim=v), 16, 1),
+    "SweepConfig-trials": (lambda v: _sweep(trials=v), 2, 1),
+    "SweepConfig-seed": (lambda v: _sweep(seed=v), 3, 0),
+    "SweepConfig-sparsities": (lambda v: _sweep(sparsities=(v,)), 2, 1),
+    "SweepConfig-measurement_counts": (lambda v: _sweep(measurement_counts=(v,)), 8, 1),
+    "derive_seed-seed": (lambda v: derive_seed(v, 1), 3, 0),
+    "derive_seed-path": (lambda v: derive_seed(1, v), 3, 0),
+    "substream-seed": (lambda v: substream(v, 1), 3, 0),
+    "substream-path": (lambda v: substream(1, v), 3, 0),
+    "identify-sparsity": (lambda v: identify(np.ones(4), v), 2, 1),
+    "recover_block-sparsity": (lambda v: recover_block("romp", np.eye(4, 8), np.ones((1, 4)), v), 2, 1),
+    "probe_ric-sparsity": (lambda v: probe_ric(np.eye(4), v, 2), 2, 1),
+    "probe_ric-samples": (lambda v: probe_ric(np.eye(4), 2, v), 3, 1),
+}
+
+
+@pytest.mark.parametrize("site", COUNT_AND_SEED_SITES)
+def test_count_and_seed_boundaries_share_one_rule(site):
+    call, value, minimum = COUNT_AND_SEED_SITES[site]
+    call(value)
+    call(np.int64(value))
+    # A float is rejected, even an integral one, never truncated or left to
+    # fail later inside numpy.
+    for bad in (float(value), np.float64(value), value + 0.5):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            call(bad)
+    bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+    with pytest.raises(ValueError, match=f"must be {bound}, got {minimum - 1}"):
+        call(minimum - 1)
 
 
 def refit(a, x):
