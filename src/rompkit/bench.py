@@ -565,11 +565,11 @@ def truncated_error(signal, estimate, sparsity):
     Geometry guarantees this never exceeds three times the distance from the
     signal's best 2n-term approximation to the full estimate; sweeps in trace
     mode assert that inequality on every trial.  ``sparsity`` must be an
-    integer; a float, even 2.0, raises ``ValueError``.
+    integer of at least 1; a float, even 2.0, raises ``ValueError``.
     """
     v = np.asarray(signal, dtype=np.float64)
     v_hat = np.asarray(estimate, dtype=np.float64)
-    m = 2 * as_integer(sparsity, "sparsity")
+    m = 2 * as_integer(sparsity, "sparsity", 1)
     return float(np.linalg.norm(best_m_term(v, m) - best_m_term(v_hat, m)))
 
 
@@ -577,7 +577,7 @@ def truncation_inequality_slack(signal, estimate, sparsity):
     """lhs - 3*rhs for the truncation inequality; non-positive (mod roundoff)."""
     v = np.asarray(signal, dtype=np.float64)
     v_hat = np.asarray(estimate, dtype=np.float64)
-    m = 2 * as_integer(sparsity, "sparsity")
+    m = 2 * as_integer(sparsity, "sparsity", 1)
     top = best_m_term(v, m)
     # lhs is truncated_error(v, v_hat, sparsity), sharing v's best 2n terms.
     lhs = float(np.linalg.norm(top - best_m_term(v_hat, m)))

@@ -1,8 +1,8 @@
-"""Input validation and the least-squares refit step with its rank rule.
+"""Input validation, run once where an input enters, and the loop's refit step.
 
 The recovery loop keeps its own QR factor ``A = Q R`` of the selected
-columns; :func:`least_squares` takes ``R`` and ``Q^T x``, applies the rank
-rule to the diagonal of ``R`` and back-substitutes.  Nothing here factors.
+columns; its refit ``least_squares`` (not public) takes ``R`` and ``Q^T x``,
+re-checks only finiteness and the rank rule on diag R, and back-substitutes.
 
 Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
 float64 arrays.  Everything here is a pure function; nothing mutates its
@@ -18,7 +18,6 @@ __all__ = [
     "as_integer",
     "as_matrix",
     "as_vector",
-    "least_squares",
 ]
 
 # A least-squares system counts as numerically rank-deficient when the
@@ -85,17 +84,18 @@ def as_vector(v):
 
 
 def least_squares(r, qtx):
-    """Minimize ``||x - A @ y||_2`` by solving ``R y = Q^T x``, where A = QR.
+    """The loop's refit: ``y`` minimizing ``||x - A y||_2`` from ``R y = Q^T x``, A = QR.
 
-    Raises :class:`RankDeficiencyError` (carrying the detected numerical
-    rank) when the smallest diagonal magnitude of R drops below
-    ``RANK_CUTOFF_RATIO`` times the largest, or when R (like A) has more
-    columns than rows, and ``ValueError`` on non-finite entries.
+    Not public.  It checks no type or shape, since it trusts the loop's own
+    factors: ``r`` is a float64 upper-triangular array (the loop's k x k R)
+    and ``qtx`` a float64 vector of its row count (the first k of Q^T x).
+    A non-finite entry (a column norm past the float range) raises
+    ``ValueError``; then :class:`RankDeficiencyError`, with the numerical
+    rank, when the smallest ``|R[i,i]|`` is below ``RANK_CUTOFF_RATIO``
+    times the largest or when R (like A) has more columns than rows.
     """
-    r = as_matrix(r)
-    qtx = as_vector(qtx)
-    if qtx.shape[0] != r.shape[0]:
-        raise ValueError(f"dimension mismatch: R has {r.shape[0]} rows, Q^T x has length {qtx.shape[0]}")
+    if not (np.isfinite(r).all() and np.isfinite(qtx).all()):
+        raise ValueError("least-squares entries must be finite")
     diag = np.abs(np.diagonal(r))
     dmax = float(diag.max())
     rank = int(np.count_nonzero(diag >= RANK_CUTOFF_RATIO * dmax)) if dmax > 0.0 else 0

@@ -318,6 +318,9 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     row as it would alone, so a trial's result does not depend on the block
     it runs in.
     ``least_squares`` and ``regularize`` run once per trial per iteration.
+    A failed refit ends its trial with the refit's ``ValueError``; a rank
+    deficiency gets the trial's ``(N, k)`` shape and sorted support.  The
+    estimate and the traced coefficients are embedded in R^d one way.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -355,6 +358,13 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     b = width
     iterations = 0
 
+    def embedded(lane):
+        """The lane's coefficients in R^d, scaled back to the measurements."""
+        k = size[lane]
+        coefficients = np.zeros(dim)
+        coefficients[order[lane, :k]] = coeffs[lane, :k]
+        return np.ldexp(coefficients, exponents[lane, 0])
+
     def finish(lanes, termination, extras=()):
         """Record the end of the trials in ``lanes`` and free their lanes.
 
@@ -368,29 +378,24 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         # From the last lane down, so each refill comes from an active lane.
         for lane, end in zip(reversed(lanes), reversed(ends)):
             t = trial[lane]
-            if isinstance(end, Exception):
-                out[t] = end
-            else:
-                k = size[lane]
+            if not isinstance(end, Exception):
                 # The coefficients are solved against the scaled x, so for a
                 # Phi with entries below the normal range they overflow, and
-                # np.linalg.solve does not warn.  The last fit set every
-                # coefficient, so one check covers all.
-                values = np.ldexp(coeffs[lane, :k], exponents[lane, 0])
-                if np.count_nonzero(np.isfinite(values)) == k:
-                    estimate = np.zeros(dim)
-                    estimate[order[lane, :k]] = values
-                    out[t] = RecoveryResult(
+                # np.linalg.solve does not warn.
+                estimate = embedded(lane)
+                if np.isfinite(estimate).all():
+                    end = RecoveryResult(
                         estimate=estimate,
-                        support=np.sort(order[lane, :k]),
+                        support=np.sort(order[lane, : size[lane]]),
                         iterations=iterations,
                         termination=end,
                         trace=states[t] if trace else [],
                     )
                 else:
-                    out[t] = ValueError(
+                    end = ValueError(
                         "least-squares coefficients overflow: matrix entries too small for the measurements"
                     )
+            out[t] = end
             b -= 1
             if lane != b:
                 for state in lane_state + tuple(extras):
@@ -454,9 +459,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
             taken[bounds[:b], selected] = True
             size[:b] = [iterations + 1] * b
         # Lane by lane: extend a ROMP trial's factor, refit every trial and
-        # take a ROMP trial's residual.  least_squares rejects non-finite
-        # entries (a column whose norm exceeds the float range), applies the
-        # rank rule to diag R and back-substitutes.
+        # take a ROMP trial's residual.
         failed, errors = [], []
         for lane in range(b):
             qt_lane, r_lane, z_lane, x_col_lane, x_lane, res_lane = lane_views[lane]
@@ -470,13 +473,11 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                 size[lane] = k
             try:
                 coeffs[lane, :k] = least_squares(r_lane[:k, :k], z_lane[:k])
-            except RankDeficiencyError as exc:
-                error = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
-                error.__cause__ = exc
-                failed.append(lane)
-                errors.append(error)
-                continue
             except ValueError as exc:
+                if isinstance(exc, RankDeficiencyError):
+                    error = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
+                    error.__cause__ = exc
+                    exc = error
                 failed.append(lane)
                 errors.append(exc)
                 continue
@@ -492,18 +493,15 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         iterations += 1
         if trace:
             for lane in range(b):
-                k = size[lane]
                 exponent = exponents[lane, 0]
-                coefficients = np.zeros(dim)
-                coefficients[order[lane, :k]] = coeffs[lane, :k]
                 states[trial[lane]].append(
                     IterationState(
-                        support=np.sort(order[lane, :k]),
+                        support=np.sort(order[lane, : size[lane]]),
                         candidates=np.array(candidates[lane], ndmin=1),
                         selected=np.array(selected[lane], ndmin=1),
                         correlation=np.ldexp(correlation[lane], exponent),
                         residual=np.ldexp(residual[lane], exponent),
-                        coefficients=np.ldexp(coefficients, exponent),
+                        coefficients=embedded(lane),
                     )
                 )
         active = residual[:b]
@@ -643,16 +641,16 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
     """Check every per-iteration invariant on a traced recovery run.
 
     ``matrix`` is a dense Phi or one PartialFourier matrix, whose dense
-    form the orthogonality check uses.  Returns a list of human-readable
-    violation strings (empty when clean):
-    candidate budget, comparability of the selected magnitudes, disjointness
-    from the previously selected set, the regularization energy floor,
-    residual orthogonality on the selected columns, monotone support growth,
-    and the iteration / support budgets.
+    form the orthogonality check uses.  Returns one human-readable string
+    per broken rule and iteration (empty when clean): the iteration budget
+    n, the support budget 3n, no estimate mass off the support, and per
+    iteration at most n candidates, a nonempty comparable selection inside
+    them and disjoint from the previous support, holding ``energy_floor(n)``
+    of their correlation energy, a support that is exactly the previous one
+    plus the selection, and a residual orthogonal to the support's columns.
     """
     a = matrix.dense() if isinstance(matrix, PartialFourier) else np.asarray(matrix, dtype=np.float64)
-    x = np.asarray(measurements, dtype=np.float64)
-    norm_x = np.linalg.norm(x)
+    tolerance = ORTHOGONALITY_TOL * np.linalg.norm(np.asarray(measurements, dtype=np.float64))
     floor = energy_floor(sparsity)
     violations = []
     if result.iterations > sparsity:
@@ -679,18 +677,13 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
         cand_norm = np.linalg.norm(u[state.candidates])
         sel_norm = np.linalg.norm(u[state.selected])
         if sel_norm < floor * cand_norm:
+            violations.append(f"iter {k}: energy floor violated ({sel_norm:.3e} < {floor:.3e} * {cand_norm:.3e})")
+        if not np.array_equal(state.support, np.union1d(previous, state.selected)):
+            violations.append(f"iter {k}: support is not the previous support plus the selected set")
+        worst = np.abs(a.T @ state.residual)[state.support].max()
+        if worst > tolerance:
             violations.append(
-                f"iter {k}: energy floor violated ({sel_norm:.3e} < {floor:.3e} * {cand_norm:.3e})"
-            )
-        if np.setdiff1d(previous, state.support).size:
-            violations.append(f"iter {k}: support not monotone")
-        if np.setdiff1d(state.support, np.union1d(previous, state.selected)).size:
-            violations.append(f"iter {k}: support grew by more than the selected set")
-        back_correlation = np.abs(a.T @ state.residual)
-        if back_correlation[state.support].max() > ORTHOGONALITY_TOL * norm_x:
-            violations.append(
-                f"iter {k}: residual not orthogonal to selected columns "
-                f"({back_correlation[state.support].max():.3e} > {ORTHOGONALITY_TOL * norm_x:.3e})"
+                f"iter {k}: residual not orthogonal to selected columns ({worst:.3e} > {tolerance:.3e})"
             )
         previous = state.support
     return violations

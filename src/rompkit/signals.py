@@ -35,8 +35,9 @@ class SignalSpec:
 
     Sparse kinds use ``sparsity`` (number of nonzeros); the power-law kind
     uses ``exponent`` p > 1 and a finite ``scale`` > 0 so the k-th largest
-    magnitude is scale * k**-p.  ``dim``, ``sparsity`` and ``seed`` are
-    checked and stored as ints by :func:`rompkit.linalg.as_integer`.
+    magnitude is scale * k**-p; a field of the other kind raises ``ValueError``.
+    ``dim``, ``sparsity`` and ``seed`` are checked and stored as ints by
+    :func:`rompkit.linalg.as_integer`.
     """
 
     kind: str
@@ -51,7 +52,11 @@ class SignalSpec:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         object.__setattr__(self, "dim", as_integer(self.dim, "dim", 1))
         object.__setattr__(self, "seed", as_integer(self.seed, "seed", 0))
-        if self.kind in (FLAT_SPARSE, GAUSSIAN_SPARSE):
+        sparse = self.kind in (FLAT_SPARSE, GAUSSIAN_SPARSE)
+        for name in ("exponent", "scale") if sparse else ("sparsity",):
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} signals take no {name}, got {getattr(self, name)!r}")
+        if sparse:
             object.__setattr__(self, "sparsity", as_integer(self.sparsity, "sparsity", 1))
             if self.sparsity > self.dim:
                 raise ValueError(f"sparsity must be in [1, {self.dim}] for {self.kind} signals")

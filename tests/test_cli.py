@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -33,22 +34,33 @@ def test_matrix_vector_roundtrip(tmp_path):
     assert np.array_equal(textio.read_vector(vpath), v)
 
 
-def test_matrix_file_validation(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2 2\n1.0 2.0 3.0\n")
-    with pytest.raises(ValueError):
-        textio.read_matrix(str(bad))
-    nan = tmp_path / "nan.txt"
-    nan.write_text("1\nnan\n")
-    with pytest.raises(ValueError):
-        textio.read_vector(str(nan))
-    empty = tmp_path / "empty.txt"
-    empty.write_text("0 2\n")
-    with pytest.raises(ValueError, match="rows must be at least 1, got 0"):
-        textio.read_matrix(str(empty))
-    empty.write_text("0\n")
-    with pytest.raises(ValueError, match="length must be at least 1, got 0"):
-        textio.read_vector(str(empty))
+def test_matrix_file_validation(tmp_path, capsys):
+    # (reader, file text, message), one case per way a file can be malformed.
+    cases = [
+        (textio.read_matrix, "2 2\n1.0 2.0 3.0\n", "expected 4 entries, found 3"),
+        (textio.read_vector, "1\nnan\n", "entries must be finite"),
+        (textio.read_matrix, "0 2\n", "rows must be at least 1, got 0"),
+        (textio.read_vector, "0\n", "length must be at least 1, got 0"),
+        (textio.read_matrix, "\n  \n", "empty file"),
+        (textio.read_matrix, "2\n1.0 2.0\n", "expected 2 header field\\(s\\), got 1"),
+        (textio.read_vector, "2 1\n1.0 2.0\n", "expected 1 header field\\(s\\), got 2"),
+        (textio.read_matrix, "2 two\n1.0 2.0 3.0 4.0\n", "malformed header '2 two'"),
+        (textio.read_vector, "1.5\n1.0\n", "malformed header '1.5'"),
+        (textio.read_vector, "2\n1.0 abc\n", "non-numeric entry"),
+        (textio.read_vector, "3\n1.0 2.0\n", "expected 3 entries, found 2"),
+    ]
+    path = tmp_path / "bad.txt"
+    for reader, text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            reader(str(path))
+    # The CLI reports a malformed file by its path and exits 1.
+    matrix_path = tmp_path / "phi.txt"
+    textio.write_matrix(str(matrix_path), np.eye(4, 12))
+    path.write_text("4\n1.0 2.0 x 4.0\n")
+    code = cli.main(["recover", "--matrix", str(matrix_path), "--observation", str(path), "--sparsity", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: non-numeric entry\n"
 
 
 def test_recover_roundtrip(recovery_files, tmp_path, capsys):

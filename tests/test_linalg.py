@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rompkit.bench import SweepConfig
+from rompkit.bench import SweepConfig, truncated_error, truncation_inequality_slack
 from rompkit.ensembles import EnsembleSpec, probe_ric
 from rompkit.linalg import RankDeficiencyError, least_squares
 from rompkit.recovery import identify, recover_block
@@ -39,6 +39,12 @@ COUNT_AND_SEED_SITES = {
     "recover_block-sparsity": (lambda v: recover_block("romp", np.eye(4, 8), np.ones((1, 4)), v), 2, 1),
     "probe_ric-sparsity": (lambda v: probe_ric(np.eye(4), v, 2), 2, 1),
     "probe_ric-samples": (lambda v: probe_ric(np.eye(4), 2, v), 3, 1),
+    "truncated_error-sparsity": (lambda v: truncated_error(np.ones(4), np.zeros(4), v), 1, 1),
+    "truncation_inequality_slack-sparsity": (
+        lambda v: truncation_inequality_slack(np.ones(4), np.zeros(4), v),
+        1,
+        1,
+    ),
 }
 
 
@@ -130,9 +136,11 @@ def test_least_squares_zero_matrix_rank_zero():
 
 def test_finite_entry_validation():
     # What a factor whose norms overflowed hands over: inf or NaN in R or Q^T x.
-    with pytest.raises(ValueError):
+    # The finite check comes before the rank rule, which would call a
+    # non-finite diagonal rank-deficient.
+    with pytest.raises(ValueError, match="finite"):
         least_squares(np.array([[np.nan]]), np.ones(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         least_squares(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         least_squares(np.eye(2), np.array([np.inf, 0.0]))

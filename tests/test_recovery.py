@@ -569,6 +569,133 @@ def test_omp_selects_one_index_per_iteration(gaussian_64x128):
     assert verify_iteration_invariants(gaussian_64x128, x, 5, result) == []
 
 
+# ---------------------------------------------------------------- verifier
+
+# A traced ROMP run at n = 3 written out by hand: the first five columns of
+# the 5 x 10 identity, x = (4, 3, 1, 1/2, 1/4).  It selects {0, 1}, then
+# {2, 3}, then {4}, and its residual is then zero.
+VERIFIER_PHI = np.eye(5, 10)
+VERIFIER_X = np.array([4.0, 3.0, 1.0, 0.5, 0.25])
+VERIFIER_N = 3
+
+
+def _on(indices, length):
+    """VERIFIER_X kept on ``indices`` and zero elsewhere, as a length-``length`` vector."""
+    out = np.zeros(length)
+    out[indices] = VERIFIER_X[indices]
+    return out
+
+
+def hand_built_run():
+    trace, previous = [], []
+    for candidates, selected in (([0, 1, 2], [0, 1]), ([2, 3, 4], [2, 3]), ([4], [4])):
+        support = sorted(previous + selected)
+        trace.append(
+            recovery.IterationState(
+                support=np.array(support),
+                candidates=np.array(candidates),
+                selected=np.array(selected),
+                correlation=_on(np.setdiff1d(np.arange(5), previous), 10),
+                residual=VERIFIER_X - _on(support, 5),
+                coefficients=_on(support, 10),
+            )
+        )
+        previous = support
+    return recovery.RecoveryResult(
+        estimate=_on(previous, 10),
+        support=np.array(previous),
+        iterations=3,
+        termination=recovery.ZERO_RESIDUAL,
+        trace=trace,
+    )
+
+
+def _set(k, **fields):
+    def edit(run):
+        for name, value in fields.items():
+            setattr(run.trace[k], name, np.array(value, dtype=np.float64 if name == "correlation" else np.int64))
+
+    return edit
+
+
+def _starve_selection(run):
+    # Candidate 4's correlation grows until iteration 1's selection holds 1%
+    # less than the energy floor of the candidates' correlation energy.
+    u = run.trace[1].correlation
+    ratio = 0.99 * energy_floor(VERIFIER_N)
+    u[4] = np.linalg.norm(u[[2, 3]]) * math.sqrt(1.0 / ratio**2 - 1.0)
+
+
+# One edit per rule of verify_iteration_invariants, and the start of the
+# one violation it must cause.
+VERIFIER_CASES = {
+    "iteration-budget": (lambda run: setattr(run, "iterations", 4), "iterations 4 exceed budget 3"),
+    "support-budget": (lambda run: setattr(run, "support", np.arange(10)), "support size 10 exceeds 3n = 9"),
+    "estimate-off-support": (
+        lambda run: run.estimate.__setitem__(7, 1.0),
+        "estimate has mass outside the reported support",
+    ),
+    "candidate-budget": (_set(1, candidates=[0, 2, 3, 4]), "iter 1: candidate set larger than 3"),
+    "selected-outside-candidates": (_set(0, candidates=[0, 2]), "iter 0: selected set not contained in candidates"),
+    "selected-in-previous-support": (
+        _set(1, correlation=[0, 1, 1, 0.5, 0.25, 0, 0, 0, 0, 0], candidates=[1, 2, 3], selected=[1, 2, 3]),
+        "iter 1: selected set intersects previous support",
+    ),
+    "empty-selection": (_set(2, candidates=[], selected=[], support=[0, 1, 2, 3]), "iter 2: empty selection"),
+    "incomparable-selection": (
+        _set(1, correlation=[0, 0, 1, 0.4, 0.25, 0, 0, 0, 0, 0]),
+        "iter 1: selected magnitudes not comparable",
+    ),
+    "energy-floor": (_starve_selection, "iter 1: energy floor violated"),
+    "support-drops-selection": (
+        _set(2, support=[0, 1, 2, 3]),
+        "iter 2: support is not the previous support plus the selected set",
+    ),
+    "support-drops-previous": (
+        _set(2, support=[1, 2, 3, 4]),
+        "iter 2: support is not the previous support plus the selected set",
+    ),
+    "support-adds-unselected": (
+        _set(2, support=[0, 1, 2, 3, 4, 5]),
+        "iter 2: support is not the previous support plus the selected set",
+    ),
+    "orthogonality": (
+        lambda run: run.trace[0].residual.__setitem__(0, 1e-6 * np.linalg.norm(VERIFIER_X)),
+        "iter 0: residual not orthogonal to selected columns",
+    ),
+}
+# The constant whose loosening hides a case, and the loosened value.
+LOOSENED = {
+    "orthogonality": ("ORTHOGONALITY_TOL", 1e-2),
+    "energy-floor": ("REGULARIZATION_ENERGY_FACTOR", 1e9),
+}
+
+
+def test_verifier_passes_the_hand_built_run():
+    run = hand_built_run()
+    assert verify_iteration_invariants(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, run) == []
+    # It is the run ROMP traces.
+    traced = romp_recover(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, trace=True)
+    assert (traced.iterations, traced.termination) == (run.iterations, run.termination)
+    assert np.array_equal(traced.estimate, run.estimate)
+    for got, want in zip(traced.trace, run.trace, strict=True):
+        for name in ("support", "candidates", "selected", "correlation", "residual", "coefficients"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("case", VERIFIER_CASES)
+def test_verifier_flags_each_broken_rule_alone(case, monkeypatch):
+    edit, message = VERIFIER_CASES[case]
+    run = hand_built_run()
+    edit(run)
+    violations = verify_iteration_invariants(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, run)
+    assert len(violations) == 1 and violations[0].startswith(message), violations
+    if case in LOOSENED:
+        # The loosened verifier misses this case, so this test catches it.
+        monkeypatch.setattr(recovery, *LOOSENED[case])
+        assert verify_iteration_invariants(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, run) == []
+
+
 # ---------------------------------------------------------------- lockstep
 
 def identical(got, want):

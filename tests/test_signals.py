@@ -61,6 +61,21 @@ def test_signal_spec_validation():
         SignalSpec("spiky", dim=4, sparsity=1)
 
 
+@pytest.mark.parametrize(
+    "kind, fields, name",
+    [
+        ("power-law", dict(sparsity=2.5, exponent=2.0, scale=1.0), "sparsity"),
+        ("power-law", dict(sparsity=2, exponent=2.0, scale=1.0), "sparsity"),
+        ("flat-sparse", dict(sparsity=2, exponent=float("nan")), "exponent"),
+        ("flat-sparse", dict(sparsity=2, scale=-1.0), "scale"),
+        ("gaussian-sparse", dict(sparsity=2, exponent=2.0), "exponent"),
+    ],
+)
+def test_signal_spec_rejects_fields_its_kind_does_not_read(kind, fields, name):
+    with pytest.raises(ValueError, match=f"{kind} signals take no {name}"):
+        SignalSpec(kind, 8, **fields)
+
+
 def test_best_m_term_hand_example():
     w = np.array([3.0, 1.0, -4.0, 2.0])
     assert np.array_equal(best_m_term(w, 2), [3.0, 0.0, -4.0, 0.0])
