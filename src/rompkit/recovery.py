@@ -306,9 +306,10 @@ def _pursue(algo, phi, measurements, sparsity, trace):
 
     A trial's state sits in one lane of stacked arrays.  The active trials
     fill lanes ``[0, b)``: a finished trial's lane takes over the last active
-    one, so stacked steps run on the leading ``b`` lanes.  Correlation,
-    selection and the stopping tests are stacked.  Each algorithm has one
-    extension path.  Active OMP trials all hold the same number of columns,
+    one, so stacked steps run on the leading ``b`` lanes.  Correlation and
+    selection are stacked, and ``identify``'s picks are split by lane; ROMP
+    then regularizes each lane's picks.  Each algorithm has one extension
+    path.  Active OMP trials all hold the same number of columns,
     so they extend and take their residuals as one stacked group, a block of
     one included.  ROMP trials select batches of different sizes, so each
     extends on 2-D views of its own lane.  A stacked operator's frequencies
@@ -318,9 +319,14 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     row as it would alone, so a trial's result does not depend on the block
     it runs in.
     ``least_squares`` and ``regularize`` run once per trial per iteration.
-    A failed refit ends its trial with the refit's ``ValueError``; a rank
-    deficiency gets the trial's ``(N, k)`` shape and sorted support.  The
-    estimate and the traced coefficients are embedded in R^d one way.
+    Trials of both algorithms end in two places.  Before extension, an
+    empty selection ends one with ``zero-observation`` (or the underflow
+    ``ValueError``) and a selection past N rows with ``support-budget``.
+    After the refit, one pass ends each trial whose refit failed, with its
+    ``ValueError`` (a rank deficiency gets the ``(N, k)`` shape and sorted
+    support), or that meets an end test: zero residual, 2n columns, n
+    iterations.  The estimate and the traced coefficients are embedded in
+    R^d one way.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -365,18 +371,18 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         coefficients[order[lane, :k]] = coeffs[lane, :k]
         return np.ldexp(coefficients, exponents[lane, 0])
 
-    def finish(lanes, termination, extras=()):
-        """Record the end of the trials in ``lanes`` and free their lanes.
+    def finish(ends, extras=()):
+        """Record the end of the trials in ``ends`` and free their lanes.
 
-        ``lanes`` is in increasing order.  ``termination`` is one reason for
-        all of them, or a list holding a reason or an exception per lane.
-        ``extras`` are this iteration's per-lane sequences; they move along
-        with the lane state and are returned cut to the lanes still active.
+        ``ends`` holds ``(lane, termination)`` pairs in increasing lane
+        order; a termination is a reason or the exception that ended the
+        trial.  ``extras`` are this iteration's per-lane sequences; they move
+        along with the lane state and are returned cut to the lanes still
+        active.
         """
         nonlocal b
-        ends = termination if isinstance(termination, list) else [termination] * len(lanes)
         # From the last lane down, so each refill comes from an active lane.
-        for lane, end in zip(reversed(lanes), reversed(ends)):
+        for lane, end in reversed(ends):
             t = trial[lane]
             if not isinstance(end, Exception):
                 # The coefficients are solved against the scaled x, so for a
@@ -398,7 +404,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
             out[t] = end
             b -= 1
             if lane != b:
-                for state in lane_state + tuple(extras):
+                for state in lane_state + extras:
                     state[lane] = state[b]
                 qt[lane, : size[lane]] = qt[b, : size[lane]]
         return tuple(extra[:b] for extra in extras)
@@ -411,56 +417,41 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         if iterations:
             correlation[taken[:b]] = 0.0
         found, picked = identify(correlation, 1 if omp else sparsity)
-        if omp:
-            # Every OMP trial holds ``iterations`` columns and adds one.
-            candidates = selected = picked
-            stops = None
-            if found.size < b or iterations >= rows:
-                counts = [0] * b
-                for lane in found.tolist():
-                    counts[lane] = 1
-                selected = np.zeros(b, dtype=np.int64)
-                selected[found] = picked
-                candidates = selected
-                stops = [lane for lane, m in enumerate(counts) if not m or iterations >= rows]
-        else:
-            edges = np.searchsorted(found, bounds[: b + 1]).tolist()
-            candidates, selected, stops = [], [], []
-            for lane in range(b):
-                chosen = picked[edges[lane] : edges[lane + 1]]
-                candidates.append(chosen)
-                if chosen.size:
-                    chosen = regularize(correlation[lane], chosen)
-                selected.append(chosen)
-                if not chosen.size or size[lane] + chosen.size > rows:
-                    stops.append(lane)
-            if stops:
-                counts = [chosen.size for chosen in selected]
+        edges = found.searchsorted(bounds[: b + 1]).tolist()
+        candidates, selected, stops = [], [], []
+        for lane in range(b):
+            chosen = picked[edges[lane] : edges[lane + 1]]
+            candidates.append(chosen)
+            if chosen.size and not omp:
+                chosen = regularize(correlation[lane], chosen)
+            selected.append(chosen)
+            if not chosen.size:
+                # A nonzero residual whose correlation with every column
+                # underflowed to zero is numerical, not x orthogonal to Phi.
+                end = ZERO_OBSERVATION
+                if residual[lane].any() and _underflows(phi):
+                    end = ValueError("correlation underflows to zero: matrix entries too small")
+                stops.append((lane, end))
+            elif size[lane] + chosen.size > rows:
+                # More columns than rows can never be refit; stop on the last fit.
+                stops.append((lane, SUPPORT_BUDGET))
         if stops:
-            ends = []
-            for lane in stops:
-                if counts[lane]:
-                    # More columns than rows can never be refit; stop on the
-                    # last fit.
-                    ends.append(SUPPORT_BUDGET)
-                elif residual[lane].any() and _underflows(phi):
-                    # A nonzero residual whose correlation with every column
-                    # underflowed to zero: numerical, not x orthogonal to Phi.
-                    ends.append(ValueError("correlation underflows to zero: matrix entries too small"))
-                else:
-                    ends.append(ZERO_OBSERVATION)
-            correlation, candidates, selected = finish(stops, ends, (correlation, candidates, selected))
+            correlation, candidates, selected = finish(stops, (correlation, candidates, selected))
             if not b:
                 break
 
         if omp:
-            _extend(phi.columns(selected)[:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
-            order[:b, iterations] = selected
-            taken[bounds[:b], selected] = True
+            # Every OMP trial holds ``iterations`` columns and adds one.  With
+            # no lane stopped, identify's picks are already one per lane.
+            chosen = np.concatenate(selected) if stops else picked
+            _extend(phi.columns(chosen)[:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
+            order[:b, iterations] = chosen
+            taken[bounds[:b], chosen] = True
             size[:b] = [iterations + 1] * b
         # Lane by lane: extend a ROMP trial's factor, refit every trial and
-        # take a ROMP trial's residual.
-        failed, errors = [], []
+        # take a ROMP trial's residual.  A failed refit is recorded; the OMP
+        # group still takes that lane's residual, which is never read.
+        failures = {}
         for lane in range(b):
             qt_lane, r_lane, z_lane, x_col_lane, x_lane, res_lane = lane_views[lane]
             k = size[lane]
@@ -478,40 +469,43 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     error = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
                     error.__cause__ = exc
                     exc = error
-                failed.append(lane)
-                errors.append(exc)
+                failures[lane] = exc
                 continue
             if not omp:
                 np.subtract(x_lane, z_lane[:k] @ qt_lane[:k], out=res_lane)
-        if failed:
-            correlation, candidates, selected = finish(failed, errors, (correlation, candidates, selected))
-            if not b:
-                break
         if omp:
             k = iterations + 1
             np.subtract(x[:b, None, :], z[:b, None, :k] @ qt[:b, :k], out=residual[:b, None, :])
         iterations += 1
-        if trace:
-            for lane in range(b):
-                exponent = exponents[lane, 0]
-                states[trial[lane]].append(
-                    IterationState(
-                        support=np.sort(order[lane, : size[lane]]),
-                        candidates=np.array(candidates[lane], ndmin=1),
-                        selected=np.array(selected[lane], ndmin=1),
-                        correlation=np.ldexp(correlation[lane], exponent),
-                        residual=np.ldexp(residual[lane], exponent),
-                        coefficients=embedded(lane),
-                    )
-                )
         active = residual[:b]
-        done = np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]
-        if np.count_nonzero(done):
-            finish(done.nonzero()[0].tolist(), ZERO_RESIDUAL)
-        if not omp and b and max(size[:b]) >= 2 * sparsity:
-            finish([lane for lane in range(b) if size[lane] >= 2 * sparsity], SUPPORT_BUDGET)
-        if iterations >= sparsity:
-            finish(list(range(b)), MAX_ITERATIONS)
+        vanished = (np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]).ravel().tolist()
+        ends = []
+        for lane in range(b):
+            end = failures.get(lane)
+            if end is None:
+                if trace:
+                    exponent = exponents[lane, 0]
+                    states[trial[lane]].append(
+                        IterationState(
+                            support=np.sort(order[lane, : size[lane]]),
+                            candidates=candidates[lane].copy(),
+                            selected=selected[lane].copy(),
+                            correlation=np.ldexp(correlation[lane], exponent),
+                            residual=np.ldexp(residual[lane], exponent),
+                            coefficients=embedded(lane),
+                        )
+                    )
+                if vanished[lane]:
+                    end = ZERO_RESIDUAL
+                elif size[lane] >= 2 * sparsity:
+                    end = SUPPORT_BUDGET
+                elif iterations >= sparsity:
+                    end = MAX_ITERATIONS
+                else:
+                    continue
+            ends.append((lane, end))
+        if ends:
+            finish(ends)
     return out
 
 
@@ -680,7 +674,8 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
             violations.append(f"iter {k}: energy floor violated ({sel_norm:.3e} < {floor:.3e} * {cand_norm:.3e})")
         if not np.array_equal(state.support, np.union1d(previous, state.selected)):
             violations.append(f"iter {k}: support is not the previous support plus the selected set")
-        worst = np.abs(a.T @ state.residual)[state.support].max()
+        # An empty support has no column to check (its empty selection is reported).
+        worst = np.abs(a.T @ state.residual)[state.support].max(initial=0.0)
         if worst > tolerance:
             violations.append(
                 f"iter {k}: residual not orthogonal to selected columns ({worst:.3e} > {tolerance:.3e})"

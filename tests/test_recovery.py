@@ -343,13 +343,18 @@ def test_romp_rank_deficiency_across_iterations_carries_support():
     assert info.value.numerical_rank == 2
 
 
+def basis8():
+    """A seeded orthonormal basis e0..e7 of R^8, one vector per row."""
+    return np.linalg.qr(substream(8).standard_normal((8, 8)))[0].T
+
+
 def nearly_parallel_columns(eps):
     """Columns c0, c1 = (c0 + eps e1) / |.| and tiny fill; x = c0 + 1e-3 e1 is in their span.
 
     OMP selects c1, then c0, which is numerically dependent on c1 once eps
     falls below the rank cutoff.
     """
-    e = np.linalg.qr(substream(8).standard_normal((8, 8)))[0].T
+    e = basis8()
     c1 = (e[0] + eps * e[1]) / np.linalg.norm(e[0] + eps * e[1])
     phi = np.column_stack([e[0], c1, *(1e-12 * e[2:6])])
     return phi, e[0] + 1e-3 * e[1]
@@ -683,6 +688,14 @@ def test_verifier_passes_the_hand_built_run():
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_verifier_reports_an_empty_first_support():
+    # With iteration 0's selection emptied, its support is empty too; the
+    # orthogonality rule has no column to check and must not raise.
+    run = romp_recover(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, trace=True)
+    _set(0, candidates=[], selected=[], support=[])(run)
+    assert "iter 0: empty selection" in verify_iteration_invariants(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, run)
+
+
 @pytest.mark.parametrize("case", VERIFIER_CASES)
 def test_verifier_flags_each_broken_rule_alone(case, monkeypatch):
     edit, message = VERIFIER_CASES[case]
@@ -787,13 +800,74 @@ def mixed_termination_block():
     return phi, np.array(rows)
 
 
+def outcomes(entries):
+    """Each entry's ``(termination, iterations)``, or its exception's type name."""
+    return [type(o).__name__ if isinstance(o, Exception) else (o.termination, o.iterations) for o in entries]
+
+
+RANK = "RankDeficiencyError"
+MIXED_OUTCOMES = {
+    "romp": [
+        ("support-budget", 1), ("zero-observation", 0), RANK, ("zero-residual", 1),
+        ("support-budget", 1), RANK, ("zero-observation", 0),
+    ],
+    "omp": [
+        ("max-iterations", 6), ("zero-observation", 0), ("zero-residual", 1), ("zero-residual", 1),
+        ("max-iterations", 6), ("zero-residual", 1), ("zero-observation", 0),
+    ],
+}
+
+
 @pytest.mark.parametrize("algo", ["romp", "omp"])
 def test_lockstep_block_mixing_every_termination(algo):
     phi, block = mixed_termination_block()
     assert_block_matches_lone_calls(algo, phi, block, 6)
-    if algo == "romp":
-        ends = {type(o).__name__ if isinstance(o, Exception) else o.termination for o in recover_block(algo, phi, block, 6)}
-        assert ends == {"RankDeficiencyError", "zero-observation", "support-budget", "zero-residual"}
+    # Pinned, since a block and its lone calls share the loop: an off-by-one
+    # in both would still match.
+    assert outcomes(recover_block(algo, phi, block, 6)) == MIXED_OUTCOMES[algo]
+
+
+def group_with_failing_lanes():
+    """Five rows through an 8 x 12 Phi: two fail their refit, two go on, one is zero.
+
+    Rows 0 and 2 are ``nearly_parallel_columns(1e-12)``'s x, whose second
+    pick is rank deficient.  Rows 1 and 3 lie in the span of three exact
+    basis columns, so OMP ends them with a zero residual after three
+    iterations, outliving the failed lanes of the same stacked group.
+    """
+    e = basis8()
+    phi, x = nearly_parallel_columns(1e-12)
+    diagonals = [(e[6] + e[7]) / np.sqrt(2), (e[6] - e[7]) / np.sqrt(2)]
+    phi = np.column_stack([phi, e[6], e[7], *diagonals, e[2], e[3]])
+    rows = [x, e[6] + 0.3 * e[7] + 0.2 * e[2], x, 0.1 * e[3] + e[7] + 0.45 * e[6], np.zeros(8)]
+    return phi, np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "algo, want",
+    [
+        ("romp", [RANK, ("zero-residual", 2), RANK, ("zero-residual", 2), ("zero-observation", 0)]),
+        ("omp", [RANK, ("zero-residual", 3), RANK, ("zero-residual", 3), ("zero-observation", 0)]),
+    ],
+    ids=["romp", "omp"],
+)
+def test_lockstep_group_with_lanes_failing_while_others_go_on(algo, want):
+    phi, block = group_with_failing_lanes()
+    assert_block_matches_lone_calls(algo, phi, block, 3)
+    assert outcomes(recover_block(algo, phi, block, 3)) == want
+
+
+def test_support_budget_stops_before_the_first_extension():
+    # 20 candidates on 16 rows: ROMP's first regularized selection already
+    # holds more than N columns, so it stops with nothing fit.  OMP takes one
+    # column at a time and fits x exactly once it holds all 16.
+    phi = build_matrix(EnsembleSpec("gaussian", 16, 64, seed=3))
+    x = substream(1).standard_normal(16)
+    romp = romp_recover(phi, x, 20, trace=True)
+    assert (romp.termination, romp.iterations, romp.trace) == ("support-budget", 0, [])
+    assert romp.support.size == 0 and not romp.estimate.any()
+    omp = omp_recover(phi, x, 20)
+    assert (omp.termination, omp.iterations, omp.support.size) == ("zero-residual", 16, 16)
 
 
 @pytest.mark.parametrize("algo", ["romp", "omp"])
