@@ -158,12 +158,12 @@ def regularize(observation, candidates):
         raise ValueError("candidate set must be nonempty")
     magnitudes = np.abs(u[idx])
     keep = magnitudes > 0.0
-    if not np.any(keep):
+    if not keep.any():
         raise ValueError("observation is zero on the candidate set")
     idx = idx[keep]
     magnitudes = magnitudes[keep]
     # descending magnitude, ties toward lower index
-    order = np.argsort(-magnitudes, kind="stable")
+    order = (-magnitudes).argsort(kind="stable")
     # Scale by a power of two so the largest magnitude lies in [1/2, 1):
     # window energies can then neither overflow nor all underflow to zero,
     # and the scaling is exact, so it never changes which window wins.
@@ -171,7 +171,7 @@ def regularize(observation, candidates):
     # The window at start lo ends before the first entry j with
     # sorted_mags[lo] > 2 sorted_mags[j]; doubling and negating are exact, so
     # this bound compares the same values as the pairwise test.
-    ends = np.searchsorted(-2.0 * sorted_mags, -sorted_mags, side="right")
+    ends = (-2.0 * sorted_mags).searchsorted(-sorted_mags, side="right")
     # Among equal energies the strict > keeps the earliest start.
     best_energy = -1.0
     best_window = (0, 0)
@@ -185,8 +185,9 @@ def regularize(observation, candidates):
         if energy > best_energy:
             best_energy = energy
             best_window = (lo, end)
-    chosen = order[best_window[0] : best_window[1]]
-    return np.sort(idx[chosen]).astype(np.int64)
+    chosen = idx[order[best_window[0] : best_window[1]]]
+    chosen.sort()
+    return chosen
 
 
 def _capacity(algo, rows, sparsity):
@@ -208,13 +209,13 @@ def lockstep_width(algo, rows, dim, sparsity):
 
 
 def _extend(columns, qt, r, z, x, k):
-    """Append ``columns`` to the QR factors of one ROMP lane, or of the OMP group.
+    """Append ``columns`` to the QR factors of a group of g lanes.
 
-    Each lane holds k columns.  For one lane ``columns`` is (N, m), ``qt``,
-    ``r`` and ``z`` are its factors and ``x`` its (N, 1) measurements; the
-    group stacks the same arrays along a leading lane axis.  ``columns`` is
+    Each lane of the group holds k columns and adds m.  ``columns`` is
+    (g, N, m), ``qt``, ``r`` and ``z`` are the group's lanes of the stacked
+    factors and ``x`` its (g, N, 1) measurements.  ``columns`` is
     overwritten.  A stacked product is one BLAS call per lane, of the shape
-    and strides the lone lane's product has.
+    and strides a lone lane's product has.
     """
     m = columns.shape[-1]
     end = k + m
@@ -251,7 +252,7 @@ def _extend(columns, qt, r, z, x, k):
             lanes = norm.reshape(-1)
             for lane, value in enumerate(norms):
                 if not 2.0**-500 <= value <= 2.0**500:
-                    entries = column.reshape(-1, column.shape[-1])[lane]
+                    entries = column[lane]
                     shift = math.frexp(float(np.max(np.abs(entries))))[1]
                     lanes[lane] = np.ldexp(np.linalg.norm(np.ldexp(entries, -shift)), shift)
     r[..., k, k : k + 1] = norm[..., 0]
@@ -308,11 +309,12 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     fill lanes ``[0, b)``: a finished trial's lane takes over the last active
     one, so stacked steps run on the leading ``b`` lanes.  Correlation and
     selection are stacked, and ``identify``'s picks are split by lane; ROMP
-    then regularizes each lane's picks.  Each algorithm has one extension
-    path.  Active OMP trials all hold the same number of columns,
-    so they extend and take their residuals as one stacked group, a block of
-    one included.  ROMP trials select batches of different sizes, so each
-    extends on 2-D views of its own lane.  A stacked operator's frequencies
+    then regularizes each lane's picks.  Both algorithms then extend and
+    take their residuals through one path, a group of g lanes ``[lo, hi)``
+    at a time.  Active OMP trials all hold the same number of columns and
+    add one, so they form one group, a block of one included.  ROMP trials
+    select batches of different sizes, so each is a group of one.  Then
+    every lane refits on its own.  A stacked operator's frequencies
     are lane state too, and move with the rest when a lane is refilled.
     Every stacked product is one BLAS call per lane with the shapes and
     strides a lone trial's product has, and a batched FFT transforms each
@@ -353,10 +355,6 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         lane_state += (phi.freqs,)
     states = [[] for _ in range(width)] if trace else None
     out = [None] * width
-    # Per-lane views for the lane-by-lane steps; they stay valid as lanes
-    # are refilled, since each points at its lane's own memory.
-    x_col = x[:, :, None]
-    lane_views = [(qt[lane], r[lane], z[lane], x_col[lane], x[lane], residual[lane]) for lane in range(width)]
     # Lane numbers: bounds[:b] indexes the active lanes, and searching
     # bounds[:b + 1] in identify's row indices splits its picks by lane.
     bounds = np.arange(width + 1)
@@ -440,42 +438,38 @@ def _pursue(algo, phi, measurements, sparsity, trace):
             if not b:
                 break
 
+        # The groups that extend together: every OMP lane holds ``iterations``
+        # columns and adds one, so the active lanes form one group; ROMP lanes
+        # select batches of different sizes, so each is a group of one.
         if omp:
-            # Every OMP trial holds ``iterations`` columns and adds one.  With
-            # no lane stopped, identify's picks are already one per lane.
+            # With no lane stopped, identify's picks are already one per lane.
             chosen = np.concatenate(selected) if stops else picked
-            _extend(phi.columns(chosen)[:, :, None], qt[:b], r[:b], z[:b], x_col[:b], iterations)
-            order[:b, iterations] = chosen
-            taken[bounds[:b], chosen] = True
-            size[:b] = [iterations + 1] * b
-        # Lane by lane: extend a ROMP trial's factor, refit every trial and
-        # take a ROMP trial's residual.  A failed refit is recorded; the OMP
-        # group still takes that lane's residual, which is never read.
+            groups = [(0, b, chosen[:, None], phi.columns(chosen)[:, :, None])]
+        else:
+            groups = [
+                (lane, lane + 1, chosen[None], phi.columns(chosen, lane)[None]) for lane, chosen in enumerate(selected)
+            ]
+        for lo, hi, chosen, columns in groups:
+            k = size[lo]
+            end = k + chosen.shape[1]
+            _extend(columns, qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
+            order[lo:hi, k:end] = chosen
+            taken[bounds[lo:hi, None], chosen] = True
+            size[lo:hi] = [end] * (hi - lo)
+            np.subtract(x[lo:hi, None, :], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None, :])
+        # Refit lane by lane.  A failed refit is recorded, and the residual its
+        # lane took above is never read.
         failures = {}
         for lane in range(b):
-            qt_lane, r_lane, z_lane, x_col_lane, x_lane, res_lane = lane_views[lane]
             k = size[lane]
-            if not omp:
-                chosen = selected[lane]
-                _extend(phi.columns(chosen, lane), qt_lane, r_lane, z_lane, x_col_lane, k)
-                order[lane, k : k + chosen.size] = chosen
-                taken[lane, chosen] = True
-                k += chosen.size
-                size[lane] = k
             try:
-                coeffs[lane, :k] = least_squares(r_lane[:k, :k], z_lane[:k])
+                coeffs[lane, :k] = least_squares(r[lane, :k, :k], z[lane, :k])
             except ValueError as exc:
                 if isinstance(exc, RankDeficiencyError):
                     error = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
                     error.__cause__ = exc
                     exc = error
                 failures[lane] = exc
-                continue
-            if not omp:
-                np.subtract(x_lane, z_lane[:k] @ qt_lane[:k], out=res_lane)
-        if omp:
-            k = iterations + 1
-            np.subtract(x[:b, None, :], z[:b, None, :k] @ qt[:b, :k], out=residual[:b, None, :])
         iterations += 1
         active = residual[:b]
         vanished = (np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]).ravel().tolist()

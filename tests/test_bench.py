@@ -48,6 +48,12 @@ def test_config_rejects_zero_sparsity():
         small_config(sparsities=(0,))
 
 
+@pytest.mark.parametrize("axis", ["sparsities", "measurement_counts"])
+def test_config_rejects_an_empty_grid_axis(axis):
+    with pytest.raises(ValueError, match="sparsities and measurement_counts must be nonempty"):
+        small_config(**{axis: ()})
+
+
 def test_config_rejects_oversized_measurements():
     with pytest.raises(ValueError):
         small_config(measurement_counts=(65,))

@@ -251,6 +251,16 @@ def test_operator_rejects_bad_frequencies(freqs, dim):
         PartialFourier(np.array(freqs), dim)
 
 
+def test_stack_rejects_more_rows_than_lanes():
+    stack = PartialFourier(np.array([[1, 2], [3, 5]]), 16)
+    with pytest.raises(ValueError, match="3 rows for a stack of 2 lanes"):
+        stack.correlate(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="3 rows for a stack of 2 lanes"):
+        stack.apply(np.ones((3, 16)))
+    with pytest.raises(ValueError, match="3 rows for a stack of 2 lanes"):
+        stack.columns(np.arange(3))
+
+
 def test_operator_only_for_partial_fourier_specs():
     with pytest.raises(ValueError):
         partial_fourier(EnsembleSpec("gaussian", 8, 16, seed=0))

@@ -301,6 +301,18 @@ def test_romp_validates_inputs(gaussian_64x128):
                 recover(gaussian_64x128, np.ones(64), sparsity)
         with pytest.raises(ValueError, match="sparsity must be an integer"):
             recover_block("omp", gaussian_64x128, np.ones((2, 64)), sparsity)
+    # A lone call takes one finite vector, and a block one 2-D array of them.
+    for measurements, message in [
+        (np.ones((1, 64)), "expected a 1-D vector"),
+        (np.r_[np.nan, np.ones(63)], "vector entries must be finite"),
+        (np.r_[np.ones(63), np.inf], "vector entries must be finite"),
+    ]:
+        for recover in (romp_recover, omp_recover):
+            with pytest.raises(ValueError, match=message):
+                recover(gaussian_64x128, measurements, 2)
+    for shape in ((64,), (1, 2, 64)):
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            recover_block("romp", gaussian_64x128, np.ones(shape), 2)
 
 
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
