@@ -27,15 +27,8 @@ import numpy as np
 from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, PartialFourier, build_matrix, partial_fourier
 from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
-from .rng import derive_seed
-from .signals import (
-    POWER_LAW,
-    NoiseSpec,
-    SignalSpec,
-    add_noise,
-    best_m_term,
-    generate_signal,
-)
+from .rng import _rekey, derive_seed, generate_states
+from .signals import POWER_LAW, NoiseSpec, SignalSpec, _draw_signal, best_m_term
 from . import svgplot
 
 __all__ = [
@@ -241,123 +234,113 @@ def _measure(matrix, vector):
     return matrix.apply(vector) if isinstance(matrix, PartialFourier) else matrix @ vector
 
 
-@dataclass
-class _Draw:
-    """A trial's inputs, drawn from its own signal and noise streams."""
-
-    trial: int
-    seed: int
-    sigma: float
-    norm_e: float
-    base_support: np.ndarray
-    signal: np.ndarray
-    measured: np.ndarray
+def _streams(config, sparsity, measurements, trials):
+    """``(trial, seed, signal key, noise key)`` of each trial, in three batched passes: the
+    seeds ``derive_seed(config.seed, _STREAM_TRIAL, N, n, t)``, their ``derive_seed(seed,
+    _STREAM_SIGNAL)`` and ``(seed, _STREAM_NOISE)``, and the Philox keys ``substream`` gives those."""
+    seeds = generate_states([[config.seed, _STREAM_TRIAL, measurements, sparsity, t] for t in trials], 1)[:, 0].tolist()
+    children = generate_states([[seed, tag] for seed in seeds for tag in (_STREAM_SIGNAL, _STREAM_NOISE)], 1)
+    keys = generate_states(children.tolist(), 2).reshape(len(seeds), 2, 2)
+    return list(zip(trials, seeds, keys[:, 0], keys[:, 1]))
 
 
-def _draw(config, sparsity, measurements, trial, matrix):
-    trial_seed = derive_seed(config.seed, _STREAM_TRIAL, measurements, sparsity, trial)
-    signal_seed = derive_seed(trial_seed, _STREAM_SIGNAL)
-    noise_seed = derive_seed(trial_seed, _STREAM_NOISE)
+def _draw(config, sparsity, measurements, streams, matrices, generator):
+    """A block's sigmas, noise norms, base supports (a bool mask), signals and measurements,
+    each trial's from its own streams through ``generator``, restarted at their keys."""
+    spec = _signal_spec(config, sparsity, config.seed)  # its seed is unused: the keys name the streams
+    noise_dim = config.dim if config.noise_target == "signal" else measurements
+    sigmas, norms, signals, measured = [], [], [], []
+    support = np.zeros((len(streams), config.dim), dtype=bool)
+    for i, ((_, _, signal_key, noise_key), matrix) in enumerate(zip(streams, matrices)):
+        base, base_support = _draw_signal(spec, _rekey(generator, signal_key))
+        support[i, base_support] = True
+        clean = _measure(matrix, base)
+        sigma = config.sigma
+        if sigma is None:
+            sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(noise_dim)
+        # add_noise's draw, from the trial's noise stream.
+        noise = sigma * _rekey(generator, noise_key).standard_normal(noise_dim)
+        if config.noise_target == "signal":
+            signal = base + noise
+            measured.append(_measure(matrix, signal))
+            norms.append(0.0)
+        else:
+            signal = base
+            measured.append(clean + noise)
+            norms.append(float(np.linalg.norm(noise)))
+        sigmas.append(float(sigma))
+        signals.append(signal)
+    return sigmas, norms, support, np.array(signals), np.array(measured)
 
-    base, base_support = generate_signal(_signal_spec(config, sparsity, signal_seed))
-    clean = _measure(matrix, base)
 
-    sigma = config.sigma
-    if sigma is None:
-        noise_dim = config.dim if config.noise_target == "signal" else measurements
-        sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(noise_dim)
-    if config.noise_target == "signal":
-        signal, _ = add_noise(base, NoiseSpec("signal", sigma, noise_seed))
-        measured = _measure(matrix, signal)
-        norm_e = 0.0
-    else:
-        signal = base
-        measured, noise = add_noise(clean, NoiseSpec("measurement", sigma, noise_seed))
-        norm_e = float(np.linalg.norm(noise))
-    return _Draw(trial, trial_seed, float(sigma), norm_e, base_support, signal, measured)
-
-
-def _score(config, algo, sparsity, measurements, matrix, draw, result):
-    """The TrialOutcome of one drawn trial, given what its recovery returned or raised.
+def _score(config, algo, sparsity, measurements, streams, matrices, draws, results):
+    """The TrialOutcomes of a drawn block, given what each recovery returned or raised.
 
     A RankDeficiencyError is scored as a total miss; any other exception is
-    raised.
+    raised.  Scores are stacked over the block, bit-equal to ``best_m_term``,
+    ``np.linalg.norm`` and ``np.intersect1d`` on each trial.
     """
-    if isinstance(result, RankDeficiencyError):
-        result = None
-        estimate = np.zeros(config.dim)
-        iterations = 0
-        termination = RANK_DEFICIENT
-        found = np.empty(0, dtype=np.int64)
-    elif isinstance(result, Exception):
-        raise result
-    else:
-        estimate = result.estimate
-        iterations = result.iterations
-        termination = result.termination
-        found = result.support
+    sigmas, norms, support, signal, measured = draws
+    estimates = np.zeros_like(signal)
+    found = np.zeros_like(support)
+    for i, result in enumerate(results):
+        if isinstance(result, RankDeficiencyError):
+            results[i] = None
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            estimates[i] = result.estimate
+            found[i, result.support] = True
 
-    signal = draw.signal
-    err2 = float(np.linalg.norm(estimate - signal))
-    top_2n = best_m_term(signal, 2 * sparsity)
-    err2_2n = float(np.linalg.norm(estimate - top_2n))
-    tail1 = float(np.sum(np.abs(signal - best_m_term(signal, sparsity))))
-    norm_e = draw.norm_e
-    ratio_meas = err2 / norm_e if norm_e > 0.0 else None
-    ratio_sig = err2_2n / (tail1 / math.sqrt(sparsity)) if tail1 > 0.0 else None
-    hit = np.intersect1d(draw.base_support, found).size / draw.base_support.size
+    lanes = np.arange(len(results))[:, None]
+    # Ties toward lower indices, as best_m_term breaks them.
+    ranked = (-np.abs(signal)).argsort(axis=1, kind="stable")
+    top = ranked[:, : 2 * sparsity]
+    top_2n = np.zeros_like(signal)
+    top_2n[lanes, top] = signal[lanes, top]
+    tail = np.abs(signal)
+    tail[lanes, ranked[:, :sparsity]] = 0.0
+    hits = (found & support).sum(axis=1) / support.sum(axis=1)
+    # One dot product per row, as np.linalg.norm takes it.
+    scores = [np.sqrt(e[:, None, :] @ e[:, :, None]).ravel() for e in (estimates - signal, estimates - top_2n)]
+    scores += [tail.sum(axis=1), hits]
 
-    record = TrialRecord(
-        algo=algo,
-        measurements=measurements,
-        dim=config.dim,
-        sparsity=sparsity,
-        trial=draw.trial,
-        seed=draw.seed,
-        sigma=draw.sigma,
-        noise_target=config.noise_target,
-        norm_e=norm_e,
-        err2=err2,
-        err2_2n=err2_2n,
-        tail1=tail1,
-        ratio_meas=ratio_meas,
-        ratio_sig=ratio_sig,
-        iterations=iterations,
-        support_hit=float(hit),
-        termination=termination,
-    )
-    return TrialOutcome(
-        record=record,
-        matrix=matrix,
-        signal=signal,
-        measured=draw.measured,
-        estimate=estimate,
-        result=result,
-    )
+    outcomes = []
+    for i, ((trial, seed, _, _), result) in enumerate(zip(streams, results)):
+        err2, err2_2n, tail1, hit = (score[i].item() for score in scores)
+        record = TrialRecord(
+            algo=algo, measurements=measurements, dim=config.dim, sparsity=sparsity, trial=trial, seed=seed,
+            sigma=sigmas[i], noise_target=config.noise_target, norm_e=norms[i],
+            err2=err2, err2_2n=err2_2n, tail1=tail1,
+            ratio_meas=err2 / norms[i] if norms[i] > 0.0 else None,
+            ratio_sig=err2_2n / (tail1 / math.sqrt(sparsity)) if tail1 > 0.0 else None,
+            iterations=result.iterations if result else 0,
+            support_hit=hit,
+            termination=result.termination if result else RANK_DEFICIENT,
+        )
+        outcomes.append(TrialOutcome(record, matrices[i], signal[i], measured[i], estimates[i], result))
+    return outcomes
 
 
-def _run_block(config, algo, sparsity, measurements, trials, matrix=None):
-    """TrialOutcomes of ``trials``, recovered in one lockstep block.
+def _run_block(config, algo, sparsity, measurements, streams, matrix, generator):
+    """TrialOutcomes of the trials in ``streams``, recovered in one lockstep block.
 
     Every trial is measured through ``matrix``, or, when that is None,
     through its own :func:`build_cell_matrix`; partial-Fourier operators of
     their own are recovered as one stack of their frequencies.  Matrices
-    built here are held only by the returned outcomes.
+    built here are held only by the returned outcomes.  Signal and noise
+    come from ``generator``, re-keyed for each stream.
     """
     if matrix is None:
-        matrices = [build_cell_matrix(config, sparsity, measurements, t) for t in trials]
+        matrices = [build_cell_matrix(config, sparsity, measurements, t) for t, *_ in streams]
     else:
-        matrices = [matrix] * len(trials)
-    draws = [_draw(config, sparsity, measurements, t, m) for t, m in zip(trials, matrices)]
+        matrices = [matrix] * len(streams)
+    draws = _draw(config, sparsity, measurements, streams, matrices, generator)
     phi = matrices[0]
     if any(m is not phi for m in matrices):
         phi = PartialFourier(np.array([m.freqs for m in matrices]), config.dim)
-    results = recover_block(
-        algo, phi, np.array([d.measured for d in draws]), sparsity, trace=config.trace
-    )
-    return [
-        _score(config, algo, sparsity, measurements, m, d, r) for m, d, r in zip(matrices, draws, results)
-    ]
+    results = recover_block(algo, phi, draws[-1], sparsity, trace=config.trace)
+    return _score(config, algo, sparsity, measurements, streams, matrices, draws, results)
 
 
 def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
@@ -371,7 +354,9 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
     termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
     exactly; any other name raises ``ValueError``.
     """
-    (outcome,) = _run_block(config, algo, sparsity, measurements, [trial], matrix)
+    streams = _streams(config, sparsity, measurements, [trial])
+    generator = np.random.Generator(np.random.Philox(0))
+    (outcome,) = _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
     return outcome
 
 
@@ -389,9 +374,11 @@ def run_cell(config, algo, sparsity, measurements):
     shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
     stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL
     width = lockstep_width(algo, measurements, config.dim, sparsity) if stackable else 1
+    streams = _streams(config, sparsity, measurements, range(config.trials))
+    # One Philox for the cell, restarted at each stream's key.
+    generator = np.random.Generator(np.random.Philox(0))
     for lo in range(0, config.trials, width):
-        trials = range(lo, min(lo + width, config.trials))
-        yield from _run_block(config, algo, sparsity, measurements, trials, shared)
+        yield from _run_block(config, algo, sparsity, measurements, streams[lo : lo + width], shared, generator)
 
 
 def _quantiles(values):

@@ -326,9 +326,9 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     ``ValueError``) and a selection past N rows with ``support-budget``.
     After the refit, one pass ends each trial whose refit failed, with its
     ``ValueError`` (a rank deficiency gets the ``(N, k)`` shape and sorted
-    support), or that meets an end test: zero residual, 2n columns, n
-    iterations.  The estimate and the traced coefficients are embedded in
-    R^d one way.
+    support) or whose trace overflows at the input scale (a ``ValueError``),
+    or that meets an end test: zero residual, 2n columns, n iterations.  The
+    estimate and the traced coefficients are embedded in R^d one way.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -476,19 +476,23 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         ends = []
         for lane in range(b):
             end = failures.get(lane)
-            if end is None:
-                if trace:
-                    exponent = exponents[lane, 0]
-                    states[trial[lane]].append(
-                        IterationState(
-                            support=np.sort(order[lane, : size[lane]]),
-                            candidates=candidates[lane].copy(),
-                            selected=selected[lane].copy(),
-                            correlation=np.ldexp(correlation[lane], exponent),
-                            residual=np.ldexp(residual[lane], exponent),
-                            coefficients=embedded(lane),
-                        )
+            if end is None and trace:
+                # Phi^T r at the input scale can pass the float range, which the scaled loop never does.
+                with np.errstate(over="ignore"):
+                    u, res = (np.ldexp(v[lane], exponents[lane, 0]) for v in (correlation, residual))
+                if np.isinf(u).any() or np.isinf(res).any():
+                    end = ValueError(f"trace of iteration {iterations - 1} overflows at the input scale")
+                states[trial[lane]].append(
+                    IterationState(
+                        support=np.sort(order[lane, : size[lane]]),
+                        candidates=candidates[lane].copy(),
+                        selected=selected[lane].copy(),
+                        correlation=u,
+                        residual=res,
+                        coefficients=embedded(lane),
                     )
+                )
+            if end is None:
                 if vanished[lane]:
                     end = ZERO_RESIDUAL
                 elif size[lane] >= 2 * sparsity:
@@ -573,6 +577,7 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
         Anything ``operator.index`` accepts; a float, even 3.0, is rejected.
     trace : bool, optional
         Record an :class:`IterationState` per iteration in ``result.trace``.
+        A trace past the float range at the input scale raises ``ValueError``.
 
     The call checks that ``measurements`` is one vector and runs
     :func:`recover_block` on it as a block of one row, which checks the
@@ -632,10 +637,11 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
     form the orthogonality check uses.  Returns one human-readable string
     per broken rule and iteration (empty when clean): the iteration budget
     n, the support budget 3n, no estimate mass off the support, and per
-    iteration at most n candidates, a nonempty comparable selection inside
-    them and disjoint from the previous support, holding ``energy_floor(n)``
-    of their correlation energy, a support that is exactly the previous one
-    plus the selection, and a residual orthogonal to the support's columns.
+    iteration a finite correlation, residual and coefficient vector, at most
+    n candidates, a nonempty comparable selection inside them and disjoint
+    from the previous support, holding ``energy_floor(n)`` of their
+    correlation energy, a support that is exactly the previous one plus the
+    selection, and a residual orthogonal to the support's columns.
     """
     a = matrix.dense() if isinstance(matrix, PartialFourier) else np.asarray(matrix, dtype=np.float64)
     tolerance = ORTHOGONALITY_TOL * np.linalg.norm(np.asarray(measurements, dtype=np.float64))
@@ -651,6 +657,8 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
     previous = np.empty(0, dtype=np.int64)
     for k, state in enumerate(result.trace):
         u = state.correlation
+        if not (np.isfinite(u).all() and np.isfinite(state.residual).all() and np.isfinite(state.coefficients).all()):
+            violations.append(f"iter {k}: non-finite trace entry")
         if state.candidates.size > sparsity:
             violations.append(f"iter {k}: candidate set larger than {sparsity}")
         if np.setdiff1d(state.selected, state.candidates).size:

@@ -93,7 +93,11 @@ def generate_signal(spec):
                       coordinate placement random; every entry is nonzero,
                       so the support is the whole index range
     """
-    rng = substream(spec.seed)
+    return _draw_signal(spec, substream(spec.seed))
+
+
+def _draw_signal(spec, rng):
+    """:func:`generate_signal`'s draw from ``rng`` instead of ``spec.seed``'s stream."""
     signal = np.zeros(spec.dim)
     if spec.kind != POWER_LAW:
         support = np.sort(rng.choice(spec.dim, size=spec.sparsity, replace=False))

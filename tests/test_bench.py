@@ -21,7 +21,8 @@ from rompkit.bench import (
 )
 from rompkit.ensembles import PartialFourier
 from rompkit.recovery import verify_iteration_invariants
-from rompkit.rng import substream
+from rompkit.rng import derive_seed, substream
+from rompkit.signals import NoiseSpec, add_noise, best_m_term, generate_signal
 
 
 def small_config(**overrides):
@@ -346,6 +347,41 @@ def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh
     elif fresh:
         assert all(np.array_equal(o.matrix, build_cell_matrix(config, 3, 32, t)) for t, o in enumerate(outcomes))
         assert len({o.matrix.tobytes() for o in outcomes}) == 10
+
+
+@pytest.mark.parametrize(
+    "signal_kind, noise_target",
+    [("flat-sparse", "measurement"), ("gaussian-sparse", "signal"), ("power-law", "signal")],
+)
+def test_sweep_rows_follow_the_scalar_stream_rule(monkeypatch, signal_kind, noise_target):
+    # A cell derives its seeds and stream keys in batched passes and scores a
+    # block at once; each row must still be what derive_seed, generate_signal,
+    # add_noise and the per-row scores give.  The master seed takes two 32-bit
+    # words, and a budget of three lanes spreads the trials over four blocks.
+    master = 2**32 + 7
+    config = small_config(trials=10, sparsities=(3,), seed=master, signal_kind=signal_kind, noise_target=noise_target)
+    lane_bytes = recovery.LOCKSTEP_BYTES // recovery.lockstep_width("romp", 32, 64, 3)
+    monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", 3 * lane_bytes)
+    assert recovery.lockstep_width("romp", 32, 64, 3) == 3
+    phi = build_cell_matrix(config, 3, 32)
+    for t, outcome in enumerate(bench.run_cell(config, "romp", 3, 32)):
+        record = outcome.record
+        assert record.seed == derive_seed(master, 1, 32, 3, t)
+        base, support = generate_signal(bench._signal_spec(config, 3, derive_seed(record.seed, 2)))
+        noise = NoiseSpec(noise_target, record.sigma, derive_seed(record.seed, 3))
+        if noise_target == "signal":
+            signal = add_noise(base, noise)[0]
+            measured = phi @ signal
+        else:
+            signal = base
+            measured = add_noise(phi @ base, noise)[0]
+        assert outcome.signal.tobytes() == signal.tobytes()
+        assert outcome.measured.tobytes() == measured.tobytes()
+        estimate = outcome.estimate
+        assert record.err2 == np.linalg.norm(estimate - signal)
+        assert record.err2_2n == np.linalg.norm(estimate - best_m_term(signal, 6))
+        assert record.tail1 == np.sum(np.abs(signal - best_m_term(signal, 3)))
+        assert record.support_hit == np.intersect1d(support, outcome.result.support).size / support.size
 
 
 def test_fresh_dense_sweep_holds_one_matrix_at_a_time(monkeypatch):

@@ -474,14 +474,27 @@ def test_recovery_invariant_under_power_of_two_scaling(gaussian_64x128, seed, no
             assert np.array_equal(got.residual, np.ldexp(want.residual, k))
             assert np.array_equal(got.correlation, np.ldexp(want.correlation, k))
             assert np.array_equal(got.coefficients, np.ldexp(want.coefficients, k))
-        rescaled = recover(phi, x, 4)
+        rescaled = recover(phi, x, 4, trace=True)
         assert np.array_equal(rescaled.support, base.support)
         assert (rescaled.iterations, rescaled.termination) == (base.iterations, base.termination)
         # A subnormal entry of the scaled estimate has lost bits, so only
         # zero and normal entries must match exactly.
-        want = np.ldexp(base.estimate, -j)
-        exact = (want == 0.0) | (np.abs(want) >= np.finfo(np.float64).tiny)
-        assert np.array_equal(rescaled.estimate[exact], want[exact])
+        assert_scaled_normal_entries(rescaled.estimate, base.estimate, -j)
+        for got, want in zip(rescaled.trace, base.trace, strict=True):
+            assert np.array_equal(got.selected, want.selected)
+            assert np.array_equal(got.residual, want.residual)
+            assert_scaled_normal_entries(got.coefficients, want.coefficients, -j)
+            # A product of Phi and r that is subnormal loses bits too (seen at
+            # j = -1000), and the sums of products round on from there.
+            u = np.ldexp(want.correlation, j)
+            bound = 64 * 2.0**-1074 + 1e-13 * (np.abs(phi).T @ np.abs(want.residual))
+            assert np.all(np.abs(got.correlation - u) <= bound)
+
+
+def assert_scaled_normal_entries(got, want, k):
+    want = np.ldexp(want, k)
+    exact = (want == 0.0) | (np.abs(want) >= np.finfo(np.float64).tiny)
+    assert np.array_equal(got[exact], want[exact])
 
 
 @pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial-fourier-real"])
@@ -508,15 +521,36 @@ def test_every_iterate_matches_least_squares_reference(ensemble, recover):
 # Far from unit scale the one-column refit takes its norm on a copy scaled
 # by a power of two, so these recover like the unscaled matrix does, with no
 # overflow warning and no false rank deficiency.
-@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-170, 1e-300])
-@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
-def test_huge_matrix_scale_fails_loudly_or_recovers(recover, scale):
+def scaled_problem(scale):
+    """A 64x256 Gaussian Phi times ``scale``, a 4-sparse v and x = Phi v."""
     phi = build_matrix(EnsembleSpec("gaussian", 64, 256, seed=13)) * scale
     rng = substream(14)
     v = np.zeros(256)
     v[rng.choice(256, size=4, replace=False)] = rng.standard_normal(4)
-    x = phi @ v
+    return phi, v, phi @ v
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-170, 1e-300])
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_huge_matrix_scale_fails_loudly_or_recovers(recover, scale):
+    phi, v, x = scaled_problem(scale)
     result = recover(phi, x, 4)
+    assert np.linalg.norm(result.estimate - v) <= 1e-6 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-170, 1e-300])
+@pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
+def test_huge_matrix_scale_traced_verifies_or_raises(recover, scale):
+    # Traced, Phi^T r at the input scale passes the float range at Phi*1e160
+    # and beyond, though the run itself recovers: the run must raise, never
+    # warn or hand the verifier a trace of infinities.
+    phi, v, x = scaled_problem(scale)
+    try:
+        result = recover(phi, x, 4, trace=True)
+    except ValueError as exc:
+        assert str(exc).startswith("trace of iteration 0 overflows")
+        return
+    assert verify_iteration_invariants(phi, x, 4, result) == []
     assert np.linalg.norm(result.estimate - v) <= 1e-6 * np.linalg.norm(v)
 
 
@@ -679,6 +713,16 @@ VERIFIER_CASES = {
     "orthogonality": (
         lambda run: run.trace[0].residual.__setitem__(0, 1e-6 * np.linalg.norm(VERIFIER_X)),
         "iter 0: residual not orthogonal to selected columns",
+    ),
+    # An overflowed trace compared inf with inf and passed every other rule.
+    "infinite-correlation": (
+        lambda run: run.trace[1].correlation.__setitem__(9, np.inf),
+        "iter 1: non-finite trace entry",
+    ),
+    "nan-residual": (lambda run: run.trace[0].residual.__setitem__(4, np.nan), "iter 0: non-finite trace entry"),
+    "infinite-coefficient": (
+        lambda run: run.trace[2].coefficients.__setitem__(3, -np.inf),
+        "iter 2: non-finite trace entry",
     ),
 }
 # The constant whose loosening hides a case, and the loosened value.
