@@ -6,7 +6,7 @@ restricted isometry constant in (0, 1) attainable at all.
 
 A partial-Fourier matrix is also available as an operator,
 :class:`PartialFourier`, that applies Phi and Phi^T through FFTs and
-gathers single columns without ever storing the N x d array.
+gathers columns without ever storing the N x d array.
 """
 
 import functools
@@ -171,13 +171,13 @@ class PartialFourier:
         angles = 2.0 * np.pi * np.arange(self.dim) / self.dim
         return self._scale * np.cos(angles), self._scale * np.sin(angles)
 
-    def _lane_freqs(self, rows):
-        """The frequencies that rows 0..rows-1 of a block go through."""
+    def _lane_freqs(self, rows, lo=0):
+        """The frequencies that rows 0..rows-1 of a block go through: lanes lo.. of a stack."""
         if self.freqs.ndim == 1:
             return self.freqs
-        if rows > len(self.freqs):
-            raise ValueError(f"{rows} rows for a stack of {len(self.freqs)} lanes")
-        return self.freqs[:rows]
+        if lo + rows > len(self.freqs):
+            raise ValueError(f"{lo + rows} rows for a stack of {len(self.freqs)} lanes")
+        return self.freqs[lo : lo + rows]
 
     def _rows(self, phase):
         """Interleaved cosine and sine rows (..., N, m) at phases f j (..., N/2, m).
@@ -217,19 +217,18 @@ class PartialFourier:
         # interleaved cosine and sine rows.
         return (picked.conj() * self._scale).view(np.float64).reshape(v.shape[:-1] + (self.shape[0],))
 
-    def columns(self, index, lane=None):
+    def columns(self, index, lo=0):
         """Columns of Phi, bit-equal to the same entries of :meth:`dense`.
 
-        With ``lane``, the columns ``index`` (1-D) of that lane's matrix, as
-        an (N, len(index)) array.  Without, one column per lane: entry i of
-        ``index`` picks lane i's column, and row i of the (len(index), N)
-        result holds it.
+        ``index`` is (g, m): row i holds the m columns to gather from lane
+        ``lo + i`` of a stack, or from the one matrix.  Returns the (g, N, m)
+        array of those columns.  An index outside [-d, d) raises
+        ``IndexError``, as it does on the dense matrix.
         """
         index = np.asarray(index, dtype=np.int64)
-        if lane is None:
-            return self._rows(self._lane_freqs(len(index))[..., None] * index[:, None, None])[:, :, 0]
-        freqs = self.freqs[lane] if self.freqs.ndim == 2 else self.freqs
-        return self._rows(freqs[:, None] * index)
+        if index.size and (index.min() < -self.dim or index.max() >= self.dim):
+            raise IndexError(f"column index out of range for dimension {self.dim}")
+        return self._rows(self._lane_freqs(len(index), lo)[..., None] * index[:, None, :])
 
     def dense(self):
         """The N x d matrix, or a lanes x N x d array for a stack.

@@ -211,7 +211,8 @@ def lockstep_width(algo, rows, dim, sparsity):
 def _extend(columns, qt, r, z, x, k):
     """Append ``columns`` to the QR factors of a group of g lanes.
 
-    Each lane of the group holds k columns and adds m.  ``columns`` is
+    The group is a contiguous run of lanes that each hold k columns and add
+    m; for m > 1 one stacked ``np.linalg.qr`` serves them all.  ``columns`` is
     (g, N, m), ``qt``, ``r`` and ``z`` are the group's lanes of the stacked
     factors and ``x`` its (g, N, 1) measurements.  ``columns`` is
     overwritten.  A stacked product is one BLAS call per lane, of the shape
@@ -275,8 +276,9 @@ class _Dense:
     def correlate(self, residuals):
         return (self._at @ residuals[:, :, None])[:, :, 0]
 
-    def columns(self, index, lane=None):
-        return self._a_t[index] if lane is None else self.a[:, index]
+    def columns(self, index, lo):
+        # Each lane's (N, m) block is column-major, as ``a[:, idx]`` lays it out.
+        return self._a_t[index].swapaxes(-1, -2)
 
 
 def _underflows(phi):
@@ -310,16 +312,17 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     one, so stacked steps run on the leading ``b`` lanes.  Correlation and
     selection are stacked, and ``identify``'s picks are split by lane; ROMP
     then regularizes each lane's picks.  Both algorithms then extend and
-    take their residuals through one path, a group of g lanes ``[lo, hi)``
-    at a time.  Active OMP trials all hold the same number of columns and
-    add one, so they form one group, a block of one included.  ROMP trials
-    select batches of different sizes, so each is a group of one.  Then
-    every lane refits on its own.  A stacked operator's frequencies
-    are lane state too, and move with the rest when a lane is refilled.
-    Every stacked product is one BLAS call per lane with the shapes and
-    strides a lone trial's product has, and a batched FFT transforms each
-    row as it would alone, so a trial's result does not depend on the block
-    it runs in.
+    take their residuals by one rule, a group of g lanes ``[lo, hi)`` at a
+    time: each contiguous run of active lanes that hold k columns and add m
+    is one group.  OMP lanes all hold ``iterations`` columns and add one, so
+    they form a single run; ROMP lanes whose supports and batches have equal
+    sizes share one.  Then every lane refits on its own.  A stacked
+    operator's frequencies are lane state too, and move with the rest when
+    a lane is refilled.  Every stacked product is one BLAS call per lane
+    with the shapes and strides a lone trial's product has, a stacked QR
+    factors each lane as a lone call does, and a batched FFT transforms
+    each row as it would alone, so a trial's result does not depend on the
+    block it runs in.
     ``least_squares`` and ``regularize`` run once per trial per iteration.
     Trials of both algorithms end in two places.  Before extension, an
     empty selection ends one with ``zero-observation`` (or the underflow
@@ -363,7 +366,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     iterations = 0
 
     def embedded(lane):
-        """The lane's coefficients in R^d, scaled back to the measurements."""
+        """The lane's coefficients in R^d, scaled back to the measurements (inf past the float range)."""
         k = size[lane]
         coefficients = np.zeros(dim)
         coefficients[order[lane, :k]] = coeffs[lane, :k]
@@ -380,31 +383,32 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         """
         nonlocal b
         # From the last lane down, so each refill comes from an active lane.
-        for lane, end in reversed(ends):
-            t = trial[lane]
-            if not isinstance(end, Exception):
-                # The coefficients are solved against the scaled x, so for a
-                # Phi with entries below the normal range they overflow, and
-                # np.linalg.solve does not warn.
-                estimate = embedded(lane)
-                if np.isfinite(estimate).all():
-                    end = RecoveryResult(
-                        estimate=estimate,
-                        support=np.sort(order[lane, : size[lane]]),
-                        iterations=iterations,
-                        termination=end,
-                        trace=states[t] if trace else [],
-                    )
-                else:
-                    end = ValueError(
-                        "least-squares coefficients overflow: matrix entries too small for the measurements"
-                    )
-            out[t] = end
-            b -= 1
-            if lane != b:
-                for state in lane_state + extras:
-                    state[lane] = state[b]
-                qt[lane, : size[lane]] = qt[b, : size[lane]]
+        # The coefficients are solved against the scaled x, so for a Phi far
+        # below the measurements' scale they overflow, in np.linalg.solve (no
+        # warning) or on the way back here; only that row ends, with ValueError.
+        with np.errstate(over="ignore"):
+            for lane, end in reversed(ends):
+                t = trial[lane]
+                if not isinstance(end, Exception):
+                    estimate = embedded(lane)
+                    if np.isfinite(estimate).all():
+                        end = RecoveryResult(
+                            estimate=estimate,
+                            support=np.sort(order[lane, : size[lane]]),
+                            iterations=iterations,
+                            termination=end,
+                            trace=states[t] if trace else [],
+                        )
+                    else:
+                        end = ValueError(
+                            "least-squares coefficients overflow: matrix entries too small for the measurements"
+                        )
+                out[t] = end
+                b -= 1
+                if lane != b:
+                    for state in lane_state + extras:
+                        state[lane] = state[b]
+                    qt[lane, : size[lane]] = qt[b, : size[lane]]
         return tuple(extra[:b] for extra in extras)
 
     while b:
@@ -438,25 +442,20 @@ def _pursue(algo, phi, measurements, sparsity, trace):
             if not b:
                 break
 
-        # The groups that extend together: every OMP lane holds ``iterations``
-        # columns and adds one, so the active lanes form one group; ROMP lanes
-        # select batches of different sizes, so each is a group of one.
-        if omp:
-            # With no lane stopped, identify's picks are already one per lane.
-            chosen = np.concatenate(selected) if stops else picked
-            groups = [(0, b, chosen[:, None], phi.columns(chosen)[:, :, None])]
-        else:
-            groups = [
-                (lane, lane + 1, chosen[None], phi.columns(chosen, lane)[None]) for lane, chosen in enumerate(selected)
-            ]
-        for lo, hi, chosen, columns in groups:
-            k = size[lo]
-            end = k + chosen.shape[1]
-            _extend(columns, qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
+        # Contiguous runs of lanes that hold k columns and add m extend together.
+        lo = 0
+        for hi in range(1, b + 1):
+            if hi < b and size[hi] == size[lo] and len(selected[hi]) == len(selected[lo]):
+                continue
+            k, m = size[lo], len(selected[lo])
+            end = k + m
+            chosen = np.concatenate(selected[lo:hi]).reshape(hi - lo, m)
+            _extend(phi.columns(chosen, lo), qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
             order[lo:hi, k:end] = chosen
             taken[bounds[lo:hi, None], chosen] = True
             size[lo:hi] = [end] * (hi - lo)
             np.subtract(x[lo:hi, None, :], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None, :])
+            lo = hi
         # Refit lane by lane.  A failed refit is recorded, and the residual its
         # lane took above is never read.
         failures = {}
@@ -480,6 +479,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                 # Phi^T r at the input scale can pass the float range, which the scaled loop never does.
                 with np.errstate(over="ignore"):
                     u, res = (np.ldexp(v[lane], exponents[lane, 0]) for v in (correlation, residual))
+                    coefficients = embedded(lane)
                 if np.isinf(u).any() or np.isinf(res).any():
                     end = ValueError(f"trace of iteration {iterations - 1} overflows at the input scale")
                 states[trial[lane]].append(
@@ -489,7 +489,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                         selected=selected[lane].copy(),
                         correlation=u,
                         residual=res,
-                        coefficients=embedded(lane),
+                        coefficients=coefficients,
                     )
                 )
             if end is None:

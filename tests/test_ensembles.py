@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rompkit import recovery
 from rompkit.ensembles import (
     EnsembleSpec,
     PartialFourier,
@@ -183,19 +184,46 @@ def stacked_operator(rows, dim, lanes, seed):
 
 @pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES)
 def test_operator_columns_are_bit_equal_to_dense_columns(rows, dim):
+    # Row i of a (g, m) index gathers from lane lo + i, for every run of
+    # lanes of a stack, and the loop's dense Phi gathers the same columns.
     op = stacked_operator(rows, dim, 4, seed=3)
     dense = op.dense()
     rng = substream(4)
-    for lane in range(4):
-        index = rng.choice(dim, size=min(dim, 7), replace=False)
-        assert op.columns(index, lane).tobytes() == dense[lane][:, index].tobytes()
-        assert PartialFourier(op.freqs[lane], dim).columns(index, 0).tobytes() == dense[lane][:, index].tobytes()
-    index = rng.integers(0, dim, size=4)
-    want = np.array([dense[lane][:, j] for lane, j in enumerate(index)])
-    assert op.columns(index).tobytes() == want.tobytes()
-    # One matrix serves every row.
+    m = min(dim, 7)
+    index = np.array([rng.choice(dim, size=m, replace=False) for _ in range(4)])
+    for lo in range(4):
+        for hi in range(lo + 1, 5):
+            want = np.array([dense[lane][:, index[lane]] for lane in range(lo, hi)])
+            for chosen in (index[lo:hi], index[lo:hi, :1]):
+                got = op.columns(chosen, lo)
+                assert got.shape == (hi - lo, rows, chosen.shape[1])
+                assert got.tobytes() == want[..., : chosen.shape[1]].tobytes()
+    # One matrix serves every row, whatever lo.
     single = PartialFourier(op.freqs[2], dim)
-    assert single.columns(index).tobytes() == dense[2][:, index].T.copy().tobytes()
+    want = np.array([dense[2][:, row] for row in index])
+    assert single.columns(index).tobytes() == single.columns(index, 3).tobytes() == want.tobytes()
+    # Each lane's block of the dense gather is laid out as ``a[:, idx]``.
+    gathered = recovery._Dense(dense[2]).columns(index, 0)
+    for block, row in zip(gathered, index):
+        lone = dense[2][:, row]
+        assert block.strides == lone.strides and block.tobytes() == lone.tobytes()
+
+
+@pytest.mark.parametrize("bad", [32, 35, -33])
+def test_operator_columns_reject_an_index_out_of_range(bad):
+    # Index 35 at d = 32 must not wrap round to column 3: the operator raises
+    # IndexError as the dense matrix does, and negative indices count from
+    # the end on both.
+    op = partial_fourier(EnsembleSpec("partial-fourier-real", 8, 32, seed=1))
+    dense = op.dense()
+    inside = np.array([[-32, -1, 0, 3, 31]])
+    assert op.columns(inside).tobytes() == dense[:, inside[0]].tobytes()
+    with pytest.raises(IndexError):
+        dense[:, [0, bad]]
+    with pytest.raises(IndexError):
+        recovery._Dense(dense).columns(np.array([[0, bad]]), 0)
+    with pytest.raises(IndexError):
+        op.columns(np.array([[0, bad]]))
 
 
 @pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES + [(512, 2048)])
@@ -258,7 +286,9 @@ def test_stack_rejects_more_rows_than_lanes():
     with pytest.raises(ValueError, match="3 rows for a stack of 2 lanes"):
         stack.apply(np.ones((3, 16)))
     with pytest.raises(ValueError, match="3 rows for a stack of 2 lanes"):
-        stack.columns(np.arange(3))
+        stack.columns(np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="3 rows for a stack of 2 lanes"):
+        stack.columns(np.zeros((2, 2), dtype=np.int64), 1)
 
 
 def test_operator_only_for_partial_fourier_specs():

@@ -10,6 +10,7 @@ from rompkit import bench, recovery
 from rompkit.ensembles import EnsembleSpec, PartialFourier, build_matrix, partial_fourier
 from rompkit.linalg import RankDeficiencyError
 from rompkit.recovery import (
+    RecoveryResult,
     energy_floor,
     identify,
     omp_recover,
@@ -580,6 +581,20 @@ def test_subnormal_matrix_raises_value_error(recover):
         recover(phi, phi @ v, 4)
 
 
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+def test_overflowing_coefficients_end_only_their_own_row(algo):
+    # Row 0's coefficients, v * 1e310, pass the float range on their way
+    # back to the input scale: that row ends with the overflow ValueError,
+    # without a RuntimeWarning that would take the sound row 1 with it.
+    phi, v, x = scaled_problem(1e-300)
+    overflowing = (phi / 1e-300) @ v * 1e10
+    got = recover_block(algo, phi, np.array([overflowing, x]), 4)
+    assert type(got[0]) is ValueError
+    assert str(got[0]).startswith("least-squares coefficients overflow")
+    assert isinstance(got[1], RecoveryResult)
+    assert np.linalg.norm(got[1].estimate - v) <= 1e-6 * np.linalg.norm(v)
+
+
 # ------------------------------------------------------------- omp_recover
 
 def test_omp_zero_observation(gaussian_64x128):
@@ -936,6 +951,44 @@ def test_lockstep_block_shrinking_to_one_lane_mid_iteration(algo, zero_first):
     if not zero_first:
         rows.reverse()
     assert_block_matches_lone_calls(algo, phi, np.array(rows), 4)
+
+
+def flat_rows(phi, trials, dim, seed):
+    """Noiseless x of ±1 signals, 3-sparse in row 0 and 6-sparse after it."""
+    rng = substream(seed)
+    rows = []
+    for t in range(trials):
+        size = 3 if t == 0 else 6
+        v = np.zeros(dim)
+        v[rng.choice(dim, size=size, replace=False)] = rng.choice([-1.0, 1.0], size=size)
+        rows.append(row_matrix(phi, t).apply(v) if isinstance(phi, PartialFourier) else phi @ v)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["dense", "stacked"])
+def test_romp_lanes_with_equal_k_and_m_extend_as_one_group(kind, monkeypatch):
+    # Equal flat signals select equal batches, so contiguous ROMP lanes that
+    # hold k columns and add m share one _extend; a run that starts past
+    # lane 0 must gather its own lanes' columns, and every row must still
+    # match its lone call bit for bit.
+    if kind == "dense":
+        phi = build_matrix(EnsembleSpec("gaussian", 48, 128, seed=0))
+    else:
+        specs = [EnsembleSpec("partial-fourier-real", 48, 128, seed=t) for t in range(8)]
+        phi = PartialFourier(np.array([partial_fourier(spec).freqs for spec in specs]), 128)
+    block = flat_rows(phi, 8, 128, seed=0)
+    groups = []
+    extend = recovery._extend
+
+    def spy(columns, qt, r, z, x, k):
+        # z is the group's slice of the block's stacked z, so its offset is lo.
+        lo = (z.ctypes.data - z.base.ctypes.data) // z.strides[0]
+        groups.append((lo, len(columns), columns.shape[-1]))
+        return extend(columns, qt, r, z, x, k)
+
+    monkeypatch.setattr(recovery, "_extend", spy)
+    assert_block_matches_lone_calls("romp", phi, block, 6)
+    assert any(lo > 0 and g >= 2 and m >= 2 for lo, g, m in groups)
 
 
 @settings(max_examples=60, deadline=None)
