@@ -143,7 +143,8 @@ class SweepConfig:
 
     Construction checks the whole grid: it rejects a ``dim``, ``trials``,
     ``seed`` or grid value that is not an integer (floats are never
-    truncated) or is below its bound, a repeated sparsity, measurement
+    truncated) or is below its bound, a grid axis that is a scalar or a
+    string instead of a sequence, a repeated sparsity, measurement
     count or algorithm, and builds the noise spec, one ensemble spec per N
     and one signal spec per n, so an invalid cell raises ``ValueError``
     here, before a sweep opens any output file.
@@ -169,9 +170,13 @@ class SweepConfig:
     def __post_init__(self):
         for name, minimum in (("dim", 1), ("trials", 1), ("seed", 0)):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
+        for name in ("sparsities", "measurement_counts", "algorithms"):
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not np.iterable(values):
+                raise ValueError(f"{name} must be a sequence of grid values, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         for name in ("sparsities", "measurement_counts"):
             object.__setattr__(self, name, tuple(as_integer(v, f"each of {name}", 1) for v in getattr(self, name)))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.sparsities or not self.measurement_counts:
             raise ValueError("sparsities and measurement_counts must be nonempty")
         for name in ("sparsities", "measurement_counts", "algorithms"):

@@ -108,11 +108,13 @@ def identify(observation, sparsity):
 
     A 2-D ``observation`` holds one observation per row and gives the
     ``(rows, indices)`` pairs of all rows' selections in ``np.nonzero``
-    order, so each row selects what it would alone.  A float ``sparsity``,
-    even 2.0, raises ``ValueError``, as does one below 1.
+    order, so each row selects what it would alone.  Any other shape, and a
+    float ``sparsity`` (even 2.0) or one below 1, raises ``ValueError``.
     """
     sparsity = as_integer(sparsity, "sparsity", 1)
     magnitudes = np.abs(np.asarray(observation, dtype=np.float64))
+    if magnitudes.ndim not in (1, 2):
+        raise ValueError(f"observation must be 1-D or 2-D, got shape {magnitudes.shape}")
     block = magnitudes if magnitudes.ndim == 2 else magnitudes.reshape(1, -1)
     if sparsity == 1:
         # argmax returns the first of equal maxima, the same tie-break.
@@ -311,27 +313,30 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     fill lanes ``[0, b)``: a finished trial's lane takes over the last active
     one, so stacked steps run on the leading ``b`` lanes.  Correlation and
     selection are stacked, and ``identify``'s picks are split by lane; ROMP
-    then regularizes each lane's picks.  Both algorithms then extend and
-    take their residuals by one rule, a group of g lanes ``[lo, hi)`` at a
-    time: each contiguous run of active lanes that hold k columns and add m
-    is one group.  OMP lanes all hold ``iterations`` columns and add one, so
-    they form a single run; ROMP lanes whose supports and batches have equal
-    sizes share one.  Then every lane refits on its own.  A stacked
-    operator's frequencies are lane state too, and move with the rest when
-    a lane is refilled.  Every stacked product is one BLAS call per lane
-    with the shapes and strides a lone trial's product has, a stacked QR
-    factors each lane as a lone call does, and a batched FFT transforms
-    each row as it would alone, so a trial's result does not depend on the
-    block it runs in.
-    ``least_squares`` and ``regularize`` run once per trial per iteration.
-    Trials of both algorithms end in two places.  Before extension, an
-    empty selection ends one with ``zero-observation`` (or the underflow
-    ``ValueError``) and a selection past N rows with ``support-budget``.
-    After the refit, one pass ends each trial whose refit failed, with its
+    then regularizes each lane's picks.  Selection only records a stop: an
+    empty selection is ``zero-observation`` (or the underflow
+    ``ValueError``) and a selection past N rows is ``support-budget``, whose
+    batch is dropped.  Both algorithms then extend and take their residuals
+    by one rule, a group of g lanes ``[lo, hi)`` at a time: each contiguous
+    run of lanes that hold k columns and add m is one group, and a run that
+    adds none (stopped lanes) is skipped.  OMP lanes all hold ``iterations``
+    columns and add one, so they form a single run; ROMP lanes whose
+    supports and batches have equal sizes share one.  A stacked operator's
+    frequencies are lane state too, and move with the rest when a lane is
+    refilled.  Every stacked product is one BLAS call per lane with the
+    shapes and strides a lone trial's product has, a stacked QR factors each
+    lane as a lone call does, and a batched FFT transforms each row as it
+    would alone, so a trial's result does not depend on the block it runs
+    in.  ``least_squares`` and ``regularize`` run once per trial per
+    iteration.
+
+    Trials end in one place, a pass over the lanes from last to first.  A
+    stopped lane ends with its stop, on the previous iteration's fit and
+    count.  Any other lane refits, traces, then ends with its refit's
     ``ValueError`` (a rank deficiency gets the ``(N, k)`` shape and sorted
-    support) or whose trace overflows at the input scale (a ``ValueError``),
-    or that meets an end test: zero residual, 2n columns, n iterations.  The
-    estimate and the traced coefficients are embedded in R^d one way.
+    support), a ``ValueError`` if its trace overflows at the input scale,
+    or at an end test: zero residual, 2n columns, n iterations.  An ended
+    lane is refilled at once from lane b - 1, which the pass has handled.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -372,45 +377,6 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         coefficients[order[lane, :k]] = coeffs[lane, :k]
         return np.ldexp(coefficients, exponents[lane, 0])
 
-    def finish(ends, extras=()):
-        """Record the end of the trials in ``ends`` and free their lanes.
-
-        ``ends`` holds ``(lane, termination)`` pairs in increasing lane
-        order; a termination is a reason or the exception that ended the
-        trial.  ``extras`` are this iteration's per-lane sequences; they move
-        along with the lane state and are returned cut to the lanes still
-        active.
-        """
-        nonlocal b
-        # From the last lane down, so each refill comes from an active lane.
-        # The coefficients are solved against the scaled x, so for a Phi far
-        # below the measurements' scale they overflow, in np.linalg.solve (no
-        # warning) or on the way back here; only that row ends, with ValueError.
-        with np.errstate(over="ignore"):
-            for lane, end in reversed(ends):
-                t = trial[lane]
-                if not isinstance(end, Exception):
-                    estimate = embedded(lane)
-                    if np.isfinite(estimate).all():
-                        end = RecoveryResult(
-                            estimate=estimate,
-                            support=np.sort(order[lane, : size[lane]]),
-                            iterations=iterations,
-                            termination=end,
-                            trace=states[t] if trace else [],
-                        )
-                    else:
-                        end = ValueError(
-                            "least-squares coefficients overflow: matrix entries too small for the measurements"
-                        )
-                out[t] = end
-                b -= 1
-                if lane != b:
-                    for state in lane_state + extras:
-                        state[lane] = state[b]
-                    qt[lane, : size[lane]] = qt[b, : size[lane]]
-        return tuple(extra[:b] for extra in extras)
-
     while b:
         correlation = phi.correlate(residual[:b])
         # In exact arithmetic the correlation vanishes on the selected set;
@@ -420,90 +386,104 @@ def _pursue(algo, phi, measurements, sparsity, trace):
             correlation[taken[:b]] = 0.0
         found, picked = identify(correlation, 1 if omp else sparsity)
         edges = found.searchsorted(bounds[: b + 1]).tolist()
-        candidates, selected, stops = [], [], []
+        candidates, selected, stops = [], [], {}
         for lane in range(b):
             chosen = picked[edges[lane] : edges[lane + 1]]
             candidates.append(chosen)
             if chosen.size and not omp:
                 chosen = regularize(correlation[lane], chosen)
-            selected.append(chosen)
             if not chosen.size:
                 # A nonzero residual whose correlation with every column
                 # underflowed to zero is numerical, not x orthogonal to Phi.
-                end = ZERO_OBSERVATION
+                stops[lane] = ZERO_OBSERVATION
                 if residual[lane].any() and _underflows(phi):
-                    end = ValueError("correlation underflows to zero: matrix entries too small")
-                stops.append((lane, end))
+                    stops[lane] = ValueError("correlation underflows to zero: matrix entries too small")
             elif size[lane] + chosen.size > rows:
                 # More columns than rows can never be refit; stop on the last fit.
-                stops.append((lane, SUPPORT_BUDGET))
-        if stops:
-            correlation, candidates, selected = finish(stops, (correlation, candidates, selected))
-            if not b:
-                break
+                stops[lane] = SUPPORT_BUDGET
+                chosen = chosen[:0]
+            selected.append(chosen)
 
-        # Contiguous runs of lanes that hold k columns and add m extend together.
+        # Contiguous runs of lanes that hold k columns and add m extend
+        # together; a run that adds none is one of stopped lanes.
         lo = 0
         for hi in range(1, b + 1):
             if hi < b and size[hi] == size[lo] and len(selected[hi]) == len(selected[lo]):
                 continue
             k, m = size[lo], len(selected[lo])
-            end = k + m
-            chosen = np.concatenate(selected[lo:hi]).reshape(hi - lo, m)
-            _extend(phi.columns(chosen, lo), qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
-            order[lo:hi, k:end] = chosen
-            taken[bounds[lo:hi, None], chosen] = True
-            size[lo:hi] = [end] * (hi - lo)
-            np.subtract(x[lo:hi, None, :], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None, :])
+            if m:
+                end = k + m
+                chosen = np.concatenate(selected[lo:hi]).reshape(hi - lo, m)
+                _extend(phi.columns(chosen, lo), qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
+                order[lo:hi, k:end] = chosen
+                taken[bounds[lo:hi, None], chosen] = True
+                size[lo:hi] = [end] * (hi - lo)
+                np.subtract(x[lo:hi, None, :], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None, :])
             lo = hi
-        # Refit lane by lane.  A failed refit is recorded, and the residual its
-        # lane took above is never read.
-        failures = {}
-        for lane in range(b):
-            k = size[lane]
-            try:
-                coeffs[lane, :k] = least_squares(r[lane, :k, :k], z[lane, :k])
-            except ValueError as exc:
-                if isinstance(exc, RankDeficiencyError):
-                    error = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
-                    error.__cause__ = exc
-                    exc = error
-                failures[lane] = exc
         iterations += 1
         active = residual[:b]
         vanished = (np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]).ravel().tolist()
-        ends = []
-        for lane in range(b):
-            end = failures.get(lane)
-            if end is None and trace:
-                # Phi^T r at the input scale can pass the float range, which the scaled loop never does.
-                with np.errstate(over="ignore"):
+        # Last lane first, so an ended lane is refilled from one already
+        # handled.  For a Phi far below the measurements' scale the
+        # coefficients overflow, in np.linalg.solve (no warning) or on the way
+        # back to the input scale, as a traced Phi^T r can; only that trial
+        # ends, with ValueError.
+        with np.errstate(over="ignore"):
+            for lane in range(b - 1, -1, -1):
+                k = size[lane]
+                end = stops.get(lane)
+                if end is None:
+                    try:
+                        coeffs[lane, :k] = least_squares(r[lane, :k, :k], z[lane, :k])
+                    except ValueError as exc:
+                        end = exc
+                        if isinstance(exc, RankDeficiencyError):
+                            end = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
+                            end.__cause__ = exc
+                if end is None and trace:
                     u, res = (np.ldexp(v[lane], exponents[lane, 0]) for v in (correlation, residual))
-                    coefficients = embedded(lane)
-                if np.isinf(u).any() or np.isinf(res).any():
-                    end = ValueError(f"trace of iteration {iterations - 1} overflows at the input scale")
-                states[trial[lane]].append(
-                    IterationState(
-                        support=np.sort(order[lane, : size[lane]]),
-                        candidates=candidates[lane].copy(),
-                        selected=selected[lane].copy(),
-                        correlation=u,
-                        residual=res,
-                        coefficients=coefficients,
+                    if np.isinf(u).any() or np.isinf(res).any():
+                        end = ValueError(f"trace of iteration {iterations - 1} overflows at the input scale")
+                    states[trial[lane]].append(
+                        IterationState(
+                            support=np.sort(order[lane, :k]),
+                            candidates=candidates[lane].copy(),
+                            selected=selected[lane].copy(),
+                            correlation=u,
+                            residual=res,
+                            coefficients=embedded(lane),
+                        )
                     )
-                )
-            if end is None:
-                if vanished[lane]:
-                    end = ZERO_RESIDUAL
-                elif size[lane] >= 2 * sparsity:
-                    end = SUPPORT_BUDGET
-                elif iterations >= sparsity:
-                    end = MAX_ITERATIONS
-                else:
-                    continue
-            ends.append((lane, end))
-        if ends:
-            finish(ends)
+                if end is None:
+                    if vanished[lane]:
+                        end = ZERO_RESIDUAL
+                    elif k >= 2 * sparsity:
+                        end = SUPPORT_BUDGET
+                    elif iterations >= sparsity:
+                        end = MAX_ITERATIONS
+                    else:
+                        continue
+                if not isinstance(end, Exception):
+                    estimate = embedded(lane)
+                    if np.isfinite(estimate).all():
+                        end = RecoveryResult(
+                            estimate=estimate,
+                            support=np.sort(order[lane, :k]),
+                            # A trial stopped before its extension ends on the last iteration's fit.
+                            iterations=iterations - (lane in stops),
+                            termination=end,
+                            trace=states[trial[lane]] if trace else [],
+                        )
+                    else:
+                        end = ValueError(
+                            "least-squares coefficients overflow: matrix entries too small for the measurements"
+                        )
+                out[trial[lane]] = end
+                b -= 1
+                if lane != b:
+                    for state in lane_state:
+                        state[lane] = state[b]
+                    qt[lane, : size[lane]] = qt[b, : size[lane]]
     return out
 
 

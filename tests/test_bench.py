@@ -71,6 +71,18 @@ def test_config_rejects_unknown_algorithm():
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [dict(sparsities=2), dict(measurement_counts=np.int64(32)), dict(algorithms="romp"), dict(algorithms=b"omp")],
+    ids=["int-sparsities", "numpy-int-measurements", "str-algorithms", "bytes-algorithms"],
+)
+def test_config_rejects_a_scalar_or_string_grid_axis(overrides):
+    # A string would otherwise be split into one-letter algorithm names.
+    name = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"{name} must be a sequence of grid values"):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize(
     "overrides, repeated",
     [
         (dict(sparsities=(2, 4, 2)), "2"),

@@ -101,6 +101,11 @@ def test_block_identify_matches_stable_sort_oracle_row_by_row(rows, sparsity):
 def test_identify_rejects_bad_budget():
     with pytest.raises(ValueError):
         identify(np.ones(3), 0)
+    # Only one observation or a block of rows; flattening any other shape
+    # would return flat indices.
+    for observation in (np.float64(1.0), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="observation must be 1-D or 2-D"):
+            identify(observation, 1)
 
 
 # -------------------------------------------------------------- regularize
@@ -965,18 +970,23 @@ def flat_rows(phi, trials, dim, seed):
     return np.array(rows)
 
 
+def flat_block(kind):
+    """Eight ``flat_rows`` through a 48 x 128 Gaussian Phi or a stack of partial-Fourier lanes."""
+    if kind == "dense":
+        phi = build_matrix(EnsembleSpec("gaussian", 48, 128, seed=0))
+    else:
+        specs = [EnsembleSpec("partial-fourier-real", 48, 128, seed=t) for t in range(8)]
+        phi = PartialFourier(np.array([partial_fourier(spec).freqs for spec in specs]), 128)
+    return phi, flat_rows(phi, 8, 128, seed=0)
+
+
 @pytest.mark.parametrize("kind", ["dense", "stacked"])
 def test_romp_lanes_with_equal_k_and_m_extend_as_one_group(kind, monkeypatch):
     # Equal flat signals select equal batches, so contiguous ROMP lanes that
     # hold k columns and add m share one _extend; a run that starts past
     # lane 0 must gather its own lanes' columns, and every row must still
     # match its lone call bit for bit.
-    if kind == "dense":
-        phi = build_matrix(EnsembleSpec("gaussian", 48, 128, seed=0))
-    else:
-        specs = [EnsembleSpec("partial-fourier-real", 48, 128, seed=t) for t in range(8)]
-        phi = PartialFourier(np.array([partial_fourier(spec).freqs for spec in specs]), 128)
-    block = flat_rows(phi, 8, 128, seed=0)
+    phi, block = flat_block(kind)
     groups = []
     extend = recovery._extend
 
@@ -989,6 +999,33 @@ def test_romp_lanes_with_equal_k_and_m_extend_as_one_group(kind, monkeypatch):
     monkeypatch.setattr(recovery, "_extend", spy)
     assert_block_matches_lone_calls("romp", phi, block, 6)
     assert any(lo > 0 and g >= 2 and m >= 2 for lo, g, m in groups)
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+@pytest.mark.parametrize(
+    "block",
+    [
+        (mixed_termination_block, 6),
+        (group_with_failing_lanes, 3),
+        (lambda: flat_block("dense"), 6),
+        (lambda: flat_block("stacked"), 6),
+    ],
+    ids=["mixed-terminations", "failing-lanes", "flat-dense", "flat-stacked"],
+)
+def test_tracing_never_changes_a_result(algo, block):
+    # Every other block test traces both sides, so an end pass that ended
+    # or counted a lane differently only when tracing would pass them all.
+    make, sparsity = block
+    phi, rows = make()
+    untraced = recover_block(algo, phi, rows, sparsity)
+    for got, want in zip(untraced, recover_block(algo, phi, rows, sparsity, trace=True), strict=True):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert got.trace == [] and len(want.trace) == want.iterations
+        assert identical(got.estimate, want.estimate)
+        assert identical(got.support, want.support)
+        assert (got.iterations, got.termination) == (want.iterations, want.termination)
 
 
 @settings(max_examples=60, deadline=None)
