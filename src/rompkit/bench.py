@@ -357,9 +357,13 @@ def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
     in the least-squares step (numerically dependent columns, i.e. far
     outside the isometry regime) is scored as a total miss: zero estimate,
     termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
-    exactly; any other name raises ``ValueError``.
+    exactly; any other name raises ``ValueError``.  So does a float, a
+    ``sparsity`` or ``measurements`` below 1 or a negative ``trial``, naming
+    the argument.
     """
-    streams = _streams(config, sparsity, measurements, [trial])
+    sparsity = as_integer(sparsity, "sparsity", 1)
+    measurements = as_integer(measurements, "measurements", 1)
+    streams = _streams(config, sparsity, measurements, [as_integer(trial, "trial", 0)])
     generator = np.random.Generator(np.random.Philox(0))
     (outcome,) = _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
     return outcome
@@ -373,8 +377,11 @@ def run_cell(config, algo, sparsity, measurements):
     partial-Fourier cell, each lane through its own trial's operator.  Any
     other fresh-matrix cell runs in blocks of one trial, each matrix built
     once the previous one is held only by its outcome.  Either way each row
-    equals :func:`run_trial`'s.
+    equals :func:`run_trial`'s.  ``sparsity`` and ``measurements`` are
+    checked as there.
     """
+    sparsity = as_integer(sparsity, "sparsity", 1)
+    measurements = as_integer(measurements, "measurements", 1)
     fresh = config.fresh_matrix_per_trial
     shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
     stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL

@@ -122,15 +122,13 @@ def identify(observation, sparsity):
         rows = np.maximum.reduce(block, axis=1).nonzero()[0]
         selection = rows, top if rows.size == top.size else top[rows]
     else:
-        # cut is each row's sparsity-th largest magnitude: everything above it
-        # is in, and the lowest-index ties at cut fill the remaining slots.  A
-        # zero cut means fewer than ``sparsity`` nonzeros, all of which are in
-        # (the smallest subnormal stands in for it, so ``>=`` skips zeros).
-        dim = block.shape[1]
-        if sparsity < dim:
-            cut = np.partition(block, dim - sparsity, axis=1)[:, dim - sparsity : dim - sparsity + 1]
-        else:
-            cut = np.zeros((len(block), 1))
+        # cut is each row's sparsity-th largest magnitude, or its smallest
+        # when sparsity reaches d: everything above it is in, and the
+        # lowest-index ties at cut fill the remaining slots.  A zero cut means
+        # fewer than ``sparsity`` nonzeros, all of which are in (the smallest
+        # subnormal stands in for it, so ``>=`` skips zeros).
+        pivot = max(block.shape[1] - sparsity, 0)
+        cut = np.partition(block, pivot, axis=1)[:, pivot : pivot + 1]
         keep = block >= np.maximum(cut, _SMALLEST_SUBNORMAL)
         # A row with a positive cut keeps at least ``sparsity`` entries, more
         # exactly when ties at cut outnumber the free slots; then only the
@@ -150,9 +148,14 @@ def regularize(observation, candidates):
     Comparable means every pair satisfies |u(i)| <= 2 |u(j)|.  Sorting the
     candidate magnitudes in decreasing order, any comparable subset sits
     inside a contiguous window whose first entry is at most twice its last,
-    and widening such a window only adds energy, so scanning the maximal
-    window at each start position finds the exact optimum.  Starts whose
-    maximal windows share an end nest, so only the first of them is scored.
+    and widening such a window only adds energy, so the best maximal window
+    is the exact optimum.  Each maximal window's energy is a difference of
+    one prefix sum of the squared magnitudes, and the first maximum wins:
+    the earliest start, never a window nested in an earlier one.  So the
+    first window wins outright when it reaches the smallest magnitude, and
+    no energies are computed then, nor when the largest magnitude is
+    infinite (an overflowed Phi^T r): the first window holds every infinite
+    entry, and ``inf - inf`` would make the energies NaN.
     """
     u = np.asarray(observation, dtype=np.float64)
     idx = np.asarray(candidates, dtype=np.int64)
@@ -169,25 +172,18 @@ def regularize(observation, candidates):
     # Scale by a power of two so the largest magnitude lies in [1/2, 1):
     # window energies can then neither overflow nor all underflow to zero,
     # and the scaling is exact, so it never changes which window wins.
-    sorted_mags = np.ldexp(magnitudes[order], -math.frexp(float(magnitudes[order[0]]))[1])
+    top = float(magnitudes[order[0]])
+    sorted_mags = np.ldexp(magnitudes[order], -math.frexp(top)[1])
     # The window at start lo ends before the first entry j with
     # sorted_mags[lo] > 2 sorted_mags[j]; doubling and negating are exact, so
     # this bound compares the same values as the pairwise test.
     ends = (-2.0 * sorted_mags).searchsorted(-sorted_mags, side="right")
-    # Among equal energies the strict > keeps the earliest start.
-    best_energy = -1.0
-    best_window = (0, 0)
-    previous_end = 0
-    for lo, end in enumerate(ends.tolist()):
-        if end == previous_end:
-            continue
-        previous_end = end
-        window = sorted_mags[lo:end]
-        energy = float(np.dot(window, window))
-        if energy > best_energy:
-            best_energy = energy
-            best_window = (lo, end)
-    chosen = idx[order[best_window[0] : best_window[1]]]
+    start = 0
+    if ends[0] < ends.size and top < math.inf:
+        energy = np.zeros(ends.size + 1)
+        np.add.accumulate(sorted_mags * sorted_mags, out=energy[1:])
+        start = (energy[ends] - energy[:-1]).argmax()
+    chosen = idx[order[start : ends[start]]]
     chosen.sort()
     return chosen
 
@@ -241,28 +237,22 @@ def _extend(columns, qt, r, z, x, k):
     # One column's factor is its norm; np.linalg.qr would cost more in call
     # overhead than the rest of a small iteration.  A zero norm is left for
     # least_squares' rank rule to report.  Outside [2**-500, 2**500] the
-    # squares may have over- or underflowed, so the norm is retaken on the
-    # column scaled exactly by a power of two, keeping the recovery
-    # equivariant under Phi -> 2**k Phi; a norm past the float range becomes
-    # inf for least_squares to reject.
-    column = columns[..., 0]
-    row = column[..., None, :]
-    with np.errstate(over="ignore", under="ignore"):
-        norm = np.sqrt(row @ columns)
-        norms = norm.ravel().tolist()
-        odd = min(norms) < 2.0**-500 or max(norms) > 2.0**500
-        if odd:
-            lanes = norm.reshape(-1)
-            for lane, value in enumerate(norms):
-                if not 2.0**-500 <= value <= 2.0**500:
-                    entries = column[lane]
-                    shift = math.frexp(float(np.max(np.abs(entries))))[1]
-                    lanes[lane] = np.ldexp(np.linalg.norm(np.ldexp(entries, -shift)), shift)
+    # squares may have over- or underflowed (the caller ignores both), so
+    # those lanes retake the norm on the column scaled exactly by a power of
+    # two, keeping the recovery equivariant under Phi -> 2**k Phi; a norm
+    # past the float range becomes inf for least_squares to reject.
+    row = columns.swapaxes(-1, -2)
+    norm = divisor = np.sqrt(row @ columns)
+    norms = norm.ravel().tolist()  # cheaper than an array test on a few lanes
+    if min(norms) < 2.0**-500 or max(norms) > 2.0**500:
+        odd = (norm < 2.0**-500) | (norm > 2.0**500)
+        shift = np.frexp(np.maximum.reduce(np.abs(row), axis=-1, keepdims=True))[1]
+        scaled = np.ldexp(row, -shift)
+        norm = np.where(odd, np.ldexp(np.sqrt(scaled @ scaled.swapaxes(-1, -2)), shift), norm)
+        divisor = np.where(norm == 0.0, 1.0, norm)  # a zero column stays zero
     r[..., k, k : k + 1] = norm[..., 0]
-    if odd:
-        norm[norm == 0.0] = 1.0  # a zero column stays zero
     q = qt[..., k : k + 1, :]
-    np.divide(row, norm, out=q)
+    np.divide(row, divisor, out=q)
     np.matmul(q, x, out=z[..., None, k : k + 1])
 
 
@@ -382,8 +372,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         # In exact arithmetic the correlation vanishes on the selected set;
         # zero it explicitly so roundoff dust can never be re-selected.  That
         # also keeps every selection disjoint from the support.
-        if iterations:
-            correlation[taken[:b]] = 0.0
+        correlation[taken[:b]] = 0.0
         found, picked = identify(correlation, 1 if omp else sparsity)
         edges = found.searchsorted(bounds[: b + 1]).tolist()
         candidates, selected, stops = [], [], {}
@@ -404,31 +393,32 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                 chosen = chosen[:0]
             selected.append(chosen)
 
-        # Contiguous runs of lanes that hold k columns and add m extend
-        # together; a run that adds none is one of stopped lanes.
-        lo = 0
-        for hi in range(1, b + 1):
-            if hi < b and size[hi] == size[lo] and len(selected[hi]) == len(selected[lo]):
-                continue
-            k, m = size[lo], len(selected[lo])
-            if m:
-                end = k + m
-                chosen = np.concatenate(selected[lo:hi]).reshape(hi - lo, m)
-                _extend(phi.columns(chosen, lo), qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
-                order[lo:hi, k:end] = chosen
-                taken[bounds[lo:hi, None], chosen] = True
-                size[lo:hi] = [end] * (hi - lo)
-                np.subtract(x[lo:hi, None, :], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None, :])
-            lo = hi
-        iterations += 1
-        active = residual[:b]
-        vanished = (np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]).ravel().tolist()
-        # Last lane first, so an ended lane is refilled from one already
-        # handled.  For a Phi far below the measurements' scale the
-        # coefficients overflow, in np.linalg.solve (no warning) or on the way
-        # back to the input scale, as a traced Phi^T r can; only that trial
-        # ends, with ValueError.
-        with np.errstate(over="ignore"):
+        # Extension, residuals and the end pass ignore over- and underflow: a
+        # one-column norm out of range is retaken scaled, and a Phi far below
+        # the measurements' scale overflows the coefficients (in solve, or back
+        # at the input scale, as a traced Phi^T r can), ending only that trial
+        # with ValueError.  An overflowing correlation above still warns.
+        with np.errstate(over="ignore", under="ignore"):
+            # Contiguous runs of lanes that hold k columns and add m extend
+            # together; a run that adds none is one of stopped lanes.
+            lo = 0
+            for hi in range(1, b + 1):
+                if hi < b and size[hi] == size[lo] and len(selected[hi]) == len(selected[lo]):
+                    continue
+                k, m = size[lo], len(selected[lo])
+                if m:
+                    end = k + m
+                    chosen = np.concatenate(selected[lo:hi]).reshape(hi - lo, m)
+                    _extend(phi.columns(chosen, lo), qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
+                    order[lo:hi, k:end] = chosen
+                    taken[bounds[lo:hi, None], chosen] = True
+                    size[lo:hi] = [end] * (hi - lo)
+                    np.subtract(x[lo:hi, None], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None])
+                lo = hi
+            iterations += 1
+            active = residual[:b]
+            vanished = (np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]).ravel().tolist()
+            # Last lane first, so an ended lane is refilled from one already handled.
             for lane in range(b - 1, -1, -1):
                 k = size[lane]
                 end = stops.get(lane)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rompkit.bench import SweepConfig, truncated_error, truncation_inequality_slack
+from rompkit.bench import SweepConfig, run_cell, run_trial, truncated_error, truncation_inequality_slack
 from rompkit.ensembles import EnsembleSpec, probe_ric
 from rompkit.linalg import RankDeficiencyError, least_squares
 from rompkit.recovery import identify, recover_block
@@ -45,6 +45,11 @@ COUNT_AND_SEED_SITES = {
         1,
         1,
     ),
+    "run_trial-sparsity": (lambda v: run_trial(_sweep(), "romp", v, 8, 0), 2, 1),
+    "run_trial-measurements": (lambda v: run_trial(_sweep(), "romp", 2, v, 0), 8, 1),
+    "run_trial-trial": (lambda v: run_trial(_sweep(), "romp", 2, 8, v), 0, 0),
+    "run_cell-sparsity": (lambda v: next(run_cell(_sweep(), "romp", v, 8)), 2, 1),
+    "run_cell-measurements": (lambda v: next(run_cell(_sweep(), "romp", 2, v)), 8, 1),
 }
 
 
@@ -54,12 +59,13 @@ def test_count_and_seed_boundaries_share_one_rule(site):
     call(value)
     call(np.int64(value))
     # A float is rejected, even an integral one, never truncated or left to
-    # fail later inside numpy.
+    # fail later inside numpy; the message names the argument.
+    name = site.split("-", 1)[1]
     for bad in (float(value), np.float64(value), value + 0.5):
-        with pytest.raises(ValueError, match="must be an integer, got"):
+        with pytest.raises(ValueError, match=rf"\b{name}\b.*must be an integer, got"):
             call(bad)
     bound = "non-negative" if minimum == 0 else f"at least {minimum}"
-    with pytest.raises(ValueError, match=f"must be {bound}, got {minimum - 1}"):
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*must be {bound}, got {minimum - 1}"):
         call(minimum - 1)
 
 

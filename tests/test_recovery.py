@@ -220,6 +220,14 @@ def test_regularize_window_at_extreme_scales(k):
     assert np.array_equal(regularize(u, np.arange(6)), [1, 2, 3, 4, 5])
 
 
+def test_regularize_on_infinite_and_nan_magnitudes():
+    # An overflowed Phi^T r: the window of infinite entries wins and NaN is
+    # dropped, as the window scan decides.  Energies taken as differences of
+    # a prefix sum would be inf - inf there.
+    u = np.array([3.0, np.inf, 1.0, -np.inf, np.nan])
+    assert regularize(u, range(5)).tolist() == regularize_scan_oracle(u, range(5)).tolist() == [1, 3]
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), k=st.integers(-1000, 1000))
 def test_regularize_invariant_under_power_of_two_scaling(seed, k):
@@ -999,6 +1007,32 @@ def test_romp_lanes_with_equal_k_and_m_extend_as_one_group(kind, monkeypatch):
     monkeypatch.setattr(recovery, "_extend", spy)
     assert_block_matches_lone_calls("romp", phi, block, 6)
     assert any(lo > 0 and g >= 2 and m >= 2 for lo, g, m in groups)
+
+
+def test_one_column_group_with_lanes_at_odd_scales_extends_each_as_alone():
+    # A (3, N, 1) group whose columns sit at 2**600, 1 and 2**-600: the
+    # outer two norms leave [2**-500, 2**500] and are retaken on the scaled
+    # column, the middle one is kept.  Q, R and z must be those of three
+    # lone calls, bit for bit.  No loop test gets here: a shared dense Phi
+    # holding columns this far apart trips the rank rule first.
+    rng = substream(61)
+    rows, k = 16, 2
+    qt, r, z = np.zeros((3, 4, rows)), np.zeros((3, 4, 4)), np.zeros((3, 4))
+    x = rng.standard_normal((3, rows, 1))
+    for lane in range(3):
+        q, r[lane, :k, :k] = np.linalg.qr(rng.standard_normal((rows, k)))
+        qt[lane, :k] = q.T
+        z[lane, :k] = q.T @ x[lane, :, 0]
+    columns = rng.standard_normal((3, rows, 1)) * np.exp2([600.0, 0.0, -600.0])[:, None, None]
+    alone = [(qt[i : i + 1].copy(), r[i : i + 1].copy(), z[i : i + 1].copy()) for i in range(3)]
+    # The loop's own errstate around extension.
+    with np.errstate(over="ignore", under="ignore"):
+        recovery._extend(columns.copy(), qt, r, z, x, k)
+        for i, (q1, r1, z1) in enumerate(alone):
+            recovery._extend(columns[i : i + 1].copy(), q1, r1, z1, x[i : i + 1], k)
+    assert np.isfinite(r[:, k, k]).all() and (r[:, k, k] > 0.0).all()
+    for i, (q1, r1, z1) in enumerate(alone):
+        assert identical(qt[i : i + 1], q1) and identical(r[i : i + 1], r1) and identical(z[i : i + 1], z1)
 
 
 @pytest.mark.parametrize("algo", ["romp", "omp"])
