@@ -9,16 +9,17 @@ the trial, with fresh matrices), so replaying one trial takes the sweep's
 config plus the row's cell and trial index.  Rows are emitted in
 deterministic (cell, trial) order and floats are serialized with shortest
 round-trip formatting, making the CSV byte-stable under a fixed master seed.
-A cell recovers its trials in lockstep blocks
-(:func:`rompkit.recovery.recover_block`) when they share a matrix, and a
-fresh-matrix partial-Fourier cell does too: a partial-Fourier matrix is a
-:class:`rompkit.ensembles.PartialFourier` operator, never built, and each
-lane carries its own trial's frequencies.  Any other fresh-matrix cell runs
-one trial at a time.  Either way each row equals what :func:`run_trial`
-computes for that trial alone.
+A cell recovers its trials in lockstep blocks of
+:func:`rompkit.recovery.lockstep_width` trials when they share a matrix,
+and a fresh-matrix partial-Fourier cell does too: a partial-Fourier matrix
+is a :class:`rompkit.ensembles.PartialFourier` operator, never built, and
+each lane carries its own trial's frequencies.  Any other fresh-matrix cell
+runs one trial at a time.  :func:`run_trial` is :func:`run_cell`'s one-trial
+case, so each row equals what it computes for that trial alone.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -348,37 +349,11 @@ def _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
     return _score(config, algo, sparsity, measurements, streams, matrices, draws, results)
 
 
-def run_trial(config, algo, sparsity, measurements, trial, matrix=None):
-    """Run one trial; the TrialOutcome keeps the vectors behind its record.
+def _outcomes(config, algo, sparsity, measurements, trials):
+    """An iterator over the TrialOutcomes of ``trials`` of one cell, set up at the call.
 
-    The trial is fully determined by (config.seed, cell, trial): the signal
-    and noise streams are derived from the recorded per-trial seed, and the
-    record equals that trial's row of any sweep.  A recovery run that dies
-    in the least-squares step (numerically dependent columns, i.e. far
-    outside the isometry regime) is scored as a total miss: zero estimate,
-    termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
-    exactly; any other name raises ``ValueError``.  So does a float, a
-    ``sparsity`` or ``measurements`` below 1 or a negative ``trial``, naming
-    the argument.
-    """
-    sparsity = as_integer(sparsity, "sparsity", 1)
-    measurements = as_integer(measurements, "measurements", 1)
-    streams = _streams(config, sparsity, measurements, [as_integer(trial, "trial", 0)])
-    generator = np.random.Generator(np.random.Philox(0))
-    (outcome,) = _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
-    return outcome
-
-
-def run_cell(config, algo, sparsity, measurements):
-    """Yield the TrialOutcome of each trial of one cell, in trial order.
-
-    A shared-matrix cell is recovered in lockstep blocks of
-    :func:`rompkit.recovery.lockstep_width` trials, and so is a fresh-matrix
-    partial-Fourier cell, each lane through its own trial's operator.  Any
-    other fresh-matrix cell runs in blocks of one trial, each matrix built
-    once the previous one is held only by its outcome.  Either way each row
-    equals :func:`run_trial`'s.  ``sparsity`` and ``measurements`` are
-    checked as there.
+    Each block runs as the iterator reaches it, so a fresh dense matrix is
+    built only once the previous one is held by nothing but its outcome.
     """
     sparsity = as_integer(sparsity, "sparsity", 1)
     measurements = as_integer(measurements, "measurements", 1)
@@ -386,11 +361,38 @@ def run_cell(config, algo, sparsity, measurements):
     shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
     stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL
     width = lockstep_width(algo, measurements, config.dim, sparsity) if stackable else 1
-    streams = _streams(config, sparsity, measurements, range(config.trials))
+    streams = _streams(config, sparsity, measurements, trials)
     # One Philox for the cell, restarted at each stream's key.
     generator = np.random.Generator(np.random.Philox(0))
-    for lo in range(0, config.trials, width):
-        yield from _run_block(config, algo, sparsity, measurements, streams[lo : lo + width], shared, generator)
+    return itertools.chain.from_iterable(
+        _run_block(config, algo, sparsity, measurements, streams[lo : lo + width], shared, generator)
+        for lo in range(0, len(streams), width)
+    )
+
+
+def run_trial(config, algo, sparsity, measurements, trial):
+    """Run one trial as :func:`run_cell` does; its TrialOutcome keeps the vectors behind the record.
+
+    The record equals that trial's row of any sweep.  A recovery run that
+    dies in the least-squares step (numerically dependent columns, i.e. far
+    outside the isometry regime) is scored as a total miss: zero estimate,
+    termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
+    exactly; any other name raises ``ValueError``, as do a float, a
+    ``sparsity`` or ``measurements`` below 1 and a negative ``trial``, each
+    naming the argument.
+    """
+    (outcome,) = _outcomes(config, algo, sparsity, measurements, [as_integer(trial, "trial", 0)])
+    return outcome
+
+
+def run_cell(config, algo, sparsity, measurements):
+    """An iterator over the TrialOutcome of each trial of one cell, in trial order.
+
+    ``sparsity`` and ``measurements`` are checked at the call, as in
+    :func:`run_trial`.  Blocks run as the module docstring describes, and
+    each row equals :func:`run_trial`'s.
+    """
+    return _outcomes(config, algo, sparsity, measurements, range(config.trials))
 
 
 def _quantiles(values):
@@ -577,8 +579,5 @@ def truncation_inequality_slack(signal, estimate, sparsity):
     v = np.asarray(signal, dtype=np.float64)
     v_hat = np.asarray(estimate, dtype=np.float64)
     m = 2 * as_integer(sparsity, "sparsity", 1)
-    top = best_m_term(v, m)
-    # lhs is truncated_error(v, v_hat, sparsity), sharing v's best 2n terms.
-    lhs = float(np.linalg.norm(top - best_m_term(v_hat, m)))
-    rhs = float(np.linalg.norm(top - v_hat))
-    return lhs - 3.0 * rhs
+    rhs = float(np.linalg.norm(best_m_term(v, m) - v_hat))
+    return truncated_error(v, v_hat, sparsity) - 3.0 * rhs

@@ -375,10 +375,9 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         correlation[taken[:b]] = 0.0
         found, picked = identify(correlation, 1 if omp else sparsity)
         edges = found.searchsorted(bounds[: b + 1]).tolist()
-        candidates, selected, stops = [], [], {}
+        selected, stops = [], {}
         for lane in range(b):
             chosen = picked[edges[lane] : edges[lane + 1]]
-            candidates.append(chosen)
             if chosen.size and not omp:
                 chosen = regularize(correlation[lane], chosen)
             if not chosen.size:
@@ -437,7 +436,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     states[trial[lane]].append(
                         IterationState(
                             support=np.sort(order[lane, :k]),
-                            candidates=candidates[lane].copy(),
+                            candidates=picked[edges[lane] : edges[lane + 1]].copy(),
                             selected=selected[lane].copy(),
                             correlation=u,
                             residual=res,

@@ -12,8 +12,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

@@ -349,9 +349,8 @@ def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh
     lane_bytes = recovery.LOCKSTEP_BYTES // recovery.lockstep_width(algo, 32, 64, 3)
     monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", 3 * lane_bytes)
     assert recovery.lockstep_width(algo, 32, 64, 3) == 3
-    matrix = None if fresh else build_cell_matrix(config, 3, 32)
     outcomes = list(bench.run_cell(config, algo, 3, 32))
-    assert [o.record for o in outcomes] == [run_trial(config, algo, 3, 32, t, matrix).record for t in range(10)]
+    assert [o.record for o in outcomes] == [run_trial(config, algo, 3, 32, t).record for t in range(10)]
     if fresh and ensemble == "partial-fourier-real":
         freqs = [o.matrix.freqs for o in outcomes]
         assert all(f.tobytes() == build_cell_matrix(config, 3, 32, t).freqs.tobytes() for t, f in enumerate(freqs))
@@ -478,21 +477,23 @@ def test_unwritable_output_fails_before_compute(tmp_path, monkeypatch):
         run_sweep(small_config(csv_path=bad))
 
 
-def test_rank_deficient_trials_score_as_failures():
+def test_rank_deficient_trials_score_as_failures(monkeypatch):
     # Every column has a twin, so ROMP's first selection takes a pair of
     # equal columns and its refit is rank-deficient.
     config = small_config(sigma=0.0)
     phi = build_cell_matrix(config, 2, 32)
     phi[:, 1::2] = phi[:, 0::2]
     records = []
-    for trial in range(3):
-        outcome = run_trial(config, "romp", 2, 32, trial, matrix=phi)
-        record = outcome.record
-        assert (record.termination, record.iterations, record.support_hit) == ("rank-deficient", 0, 0.0)
-        assert outcome.result is None
-        assert not np.any(outcome.estimate)
-        assert record.err2 == np.linalg.norm(outcome.signal)
-        records.append(record)
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "build_cell_matrix", lambda *args: phi)
+        for trial in range(3):
+            outcome = run_trial(config, "romp", 2, 32, trial)
+            record = outcome.record
+            assert (record.termination, record.iterations, record.support_hit) == ("rank-deficient", 0, 0.0)
+            assert outcome.result is None
+            assert not np.any(outcome.estimate)
+            assert record.err2 == np.linalg.norm(outcome.signal)
+            records.append(record)
     recovered = run_trial(config, "romp", 2, 32, 0).record
     assert recovered.termination != "rank-deficient"
     (cell,) = aggregate_records(records + [recovered])
@@ -500,13 +501,14 @@ def test_rank_deficient_trials_score_as_failures():
 
 
 @pytest.mark.parametrize("algo", ["romp", "omp"])
-def test_trial_raises_other_recovery_errors(algo):
+def test_trial_raises_other_recovery_errors(monkeypatch, algo):
     # Only a RankDeficiencyError is scored; a subnormal Phi's overflow
     # ValueError must come out of run_trial.
     config = small_config()
     phi = np.ldexp(build_cell_matrix(config, 2, 32), -1030)
+    monkeypatch.setattr(bench, "build_cell_matrix", lambda *args: phi)
     with pytest.raises(ValueError, match="coefficients overflow"):
-        run_trial(config, algo, 2, 32, 0, matrix=phi)
+        run_trial(config, algo, 2, 32, 0)
 
 
 def test_report_aggregates_match_records():

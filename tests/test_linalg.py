@@ -50,6 +50,9 @@ COUNT_AND_SEED_SITES = {
     "run_trial-trial": (lambda v: run_trial(_sweep(), "romp", 2, 8, v), 0, 0),
     "run_cell-sparsity": (lambda v: next(run_cell(_sweep(), "romp", v, 8)), 2, 1),
     "run_cell-measurements": (lambda v: next(run_cell(_sweep(), "romp", 2, v)), 8, 1),
+    # No next: run_cell checks its counts at the call.
+    "run_cell_call-sparsity": (lambda v: run_cell(_sweep(), "romp", v, 8), 2, 1),
+    "run_cell_call-measurements": (lambda v: run_cell(_sweep(), "romp", 2, v), 8, 1),
 }
 
 

@@ -848,7 +848,7 @@ def sweep_cell_block(ensemble, dim, sparsity, measurements, trials, seed, sigma)
         trials=trials, ensemble=ensemble, sigma=sigma, seed=seed,
     )
     phi = bench.build_cell_matrix(config, sparsity, measurements)
-    block = [bench.run_trial(config, "romp", sparsity, measurements, t, phi).measured for t in range(trials)]
+    block = [bench.run_trial(config, "romp", sparsity, measurements, t).measured for t in range(trials)]
     return phi, np.array(block)
 
 
