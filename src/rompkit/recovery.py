@@ -303,30 +303,30 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     fill lanes ``[0, b)``: a finished trial's lane takes over the last active
     one, so stacked steps run on the leading ``b`` lanes.  Correlation and
     selection are stacked, and ``identify``'s picks are split by lane; ROMP
-    then regularizes each lane's picks.  Selection only records a stop: an
-    empty selection is ``zero-observation`` (or the underflow
-    ``ValueError``) and a selection past N rows is ``support-budget``, whose
-    batch is dropped.  Both algorithms then extend and take their residuals
-    by one rule, a group of g lanes ``[lo, hi)`` at a time: each contiguous
-    run of lanes that hold k columns and add m is one group, and a run that
-    adds none (stopped lanes) is skipped.  OMP lanes all hold ``iterations``
-    columns and add one, so they form a single run; ROMP lanes whose
-    supports and batches have equal sizes share one.  A stacked operator's
-    frequencies are lane state too, and move with the rest when a lane is
-    refilled.  Every stacked product is one BLAS call per lane with the
-    shapes and strides a lone trial's product has, a stacked QR factors each
-    lane as a lone call does, and a batched FFT transforms each row as it
-    would alone, so a trial's result does not depend on the block it runs
-    in.  ``least_squares`` and ``regularize`` run once per trial per
-    iteration.
+    then regularizes each lane's picks.  Selection only selects: it drops a
+    batch that would take the support past N rows and decides no end.  Both
+    algorithms then extend and take their residuals by one rule, a group of
+    g lanes ``[lo, hi)`` at a time: each contiguous run of lanes that hold k
+    columns and add m is one group, and a run that adds none (stopped lanes)
+    is skipped.  OMP lanes all hold ``iterations`` columns and add one, so
+    they form a single run; ROMP lanes whose supports and batches have equal
+    sizes share one.  A stacked operator's frequencies are lane state too,
+    and move with the rest when a lane is refilled.  Every stacked product
+    is one BLAS call per lane with the shapes and strides a lone trial's
+    product has, a stacked QR factors each lane as a lone call does, and a
+    batched FFT transforms each row as it would alone, so a trial's result
+    does not depend on the block it runs in.  ``least_squares`` and
+    ``regularize`` run once per trial per iteration.
 
-    Trials end in one place, a pass over the lanes from last to first.  A
-    stopped lane ends with its stop, on the previous iteration's fit and
-    count.  Any other lane refits, traces, then ends with its refit's
-    ``ValueError`` (a rank deficiency gets the ``(N, k)`` shape and sorted
-    support), a ``ValueError`` if its trace overflows at the input scale,
-    or at an end test: zero residual, 2n columns, n iterations.  An ended
-    lane is refilled at once from lane b - 1, which the pass has handled.
+    Every end is decided in one pass over the lanes, last to first.  A lane
+    with an empty selection ends on the previous iteration's fit and count:
+    ``support-budget`` if ``identify`` picked for it, else
+    ``zero-observation`` or the underflow ``ValueError``.  Any other lane
+    refits, traces, then ends with its refit's ``ValueError`` (a rank
+    deficiency gets the ``(N, k)`` shape and sorted support), a
+    ``ValueError`` if its trace overflows at the input scale, or at an end
+    test: zero residual, 2n columns, n iterations.  An ended lane is
+    refilled at once from lane b - 1, which the pass has handled.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -375,22 +375,13 @@ def _pursue(algo, phi, measurements, sparsity, trace):
         correlation[taken[:b]] = 0.0
         found, picked = identify(correlation, 1 if omp else sparsity)
         edges = found.searchsorted(bounds[: b + 1]).tolist()
-        selected, stops = [], {}
+        selected = []
         for lane in range(b):
             chosen = picked[edges[lane] : edges[lane + 1]]
             if chosen.size and not omp:
                 chosen = regularize(correlation[lane], chosen)
-            if not chosen.size:
-                # A nonzero residual whose correlation with every column
-                # underflowed to zero is numerical, not x orthogonal to Phi.
-                stops[lane] = ZERO_OBSERVATION
-                if residual[lane].any() and _underflows(phi):
-                    stops[lane] = ValueError("correlation underflows to zero: matrix entries too small")
-            elif size[lane] + chosen.size > rows:
-                # More columns than rows can never be refit; stop on the last fit.
-                stops[lane] = SUPPORT_BUDGET
-                chosen = chosen[:0]
-            selected.append(chosen)
+            # More columns than rows can never be refit: the batch is dropped.
+            selected.append(chosen[:0] if size[lane] + chosen.size > rows else chosen)
 
         # Extension, residuals and the end pass ignore over- and underflow: a
         # one-column norm out of range is retaken scaled, and a Phi far below
@@ -420,8 +411,15 @@ def _pursue(algo, phi, measurements, sparsity, trace):
             # Last lane first, so an ended lane is refilled from one already handled.
             for lane in range(b - 1, -1, -1):
                 k = size[lane]
-                end = stops.get(lane)
-                if end is None:
+                stopped = not len(selected[lane])
+                end = None
+                if stopped:
+                    # identify's picks were dropped at N rows, or it found none.  A nonzero residual
+                    # whose correlation underflowed to zero is numerical, not x orthogonal to Phi.
+                    end = SUPPORT_BUDGET if edges[lane] < edges[lane + 1] else ZERO_OBSERVATION
+                    if end == ZERO_OBSERVATION and residual[lane].any() and _underflows(phi):
+                        end = ValueError("correlation underflows to zero: matrix entries too small")
+                else:
                     try:
                         coeffs[lane, :k] = least_squares(r[lane, :k, :k], z[lane, :k])
                     except ValueError as exc:
@@ -459,7 +457,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                             estimate=estimate,
                             support=np.sort(order[lane, :k]),
                             # A trial stopped before its extension ends on the last iteration's fit.
-                            iterations=iterations - (lane in stops),
+                            iterations=iterations - stopped,
                             termination=end,
                             trace=states[trial[lane]] if trace else [],
                         )

@@ -4,6 +4,7 @@ Produces a standalone SVG document with axes, tick labels, one polyline per
 series, and a legend.  Output is deterministic for identical input.
 """
 
+import math
 from xml.sax.saxutils import escape
 
 __all__ = ["line_plot"]
@@ -45,9 +46,9 @@ def line_plot(series, title="", x_label="", y_label=""):
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, math.ulp(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, math.ulp(y_lo))
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo -= y_pad
     y_hi += y_pad

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rompkit import bench, recovery
+from rompkit import bench, recovery, svgplot
 from rompkit.bench import (
     AGGREGATE_CSV_HEADER,
     TRIAL_CSV_HEADER,
@@ -298,19 +298,41 @@ def test_aggregates_recomputable_from_csv(tmp_path):
 
 
 def test_sweep_svg_output(tmp_path):
-    svg_path = str(tmp_path / "plot.svg")
-    config = small_config(
-        sparsities=(2, 3), measurement_counts=(24, 32, 48), trials=2, svg_path=svg_path
-    )
-    run_sweep(config)
-    root = ET.parse(svg_path).getroot()
-    polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
-    assert len(polylines) == 2  # one per sparsity level
+    # The y-axis names the plotted metric: measurement noise, signal noise, none.
+    cases = [
+        ({}, "mean error-to-noise ratio"),
+        ({"noise_target": "signal"}, "mean error / scaled 1-norm tail"),
+        ({"sigma": 0.0}, "mean recovery error"),
+    ]
+    for k, (options, y_label) in enumerate(cases):
+        svg_path = str(tmp_path / f"plot{k}.svg")
+        config = small_config(
+            sparsities=(2, 3), measurement_counts=(24, 32, 48), trials=2, svg_path=svg_path, **options
+        )
+        run_sweep(config)
+        root = ET.parse(svg_path).getroot()
+        polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+        assert len(polylines) == 2  # one per sparsity level
+        rotated = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text") if "transform" in t.attrib]
+        assert rotated == [y_label]
+
+
+def test_line_plot_widens_an_equal_range_past_2_53():
+    # An added 1.0 is lost at 1e17, which left a zero-width range to divide by.
+    for series in [[("a", [(1, 1e17), (2, 1e17)])], [("a", [(1e17, 1.0), (1e17, 2.0)])]]:
+        svg = svgplot.line_plot(series)
+        root = ET.fromstring(svg)
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}circle")) == 2
+        assert "nan" not in svg
 
 
 def test_traced_sweep_raises_on_violation_naming_the_cell(monkeypatch):
     monkeypatch.setattr(bench, "verify_iteration_invariants", lambda *args: ["planted violation"])
     with pytest.raises(RuntimeError, match=r"algo=romp, n=2, N=32, trial=0\): planted violation"):
+        run_sweep(small_config(trace=True))
+    monkeypatch.setattr(bench, "verify_iteration_invariants", lambda *args: [])
+    monkeypatch.setattr(bench, "truncation_inequality_slack", lambda *args: 1.0)
+    with pytest.raises(RuntimeError, match=r"algo=romp, n=2, N=32, trial=0\): truncation inequality violated"):
         run_sweep(small_config(trace=True))
 
 
