@@ -1,0 +1,142 @@
+"""The kill table: mutants of rompkit that the test suite must catch.
+
+Each entry names a file under ``src/``, an ``old`` snippet that must occur in
+it exactly once, the ``new`` text that replaces it, and the test files whose
+``pytest -x`` run must fail on the mutant.  ``python mutants/run.py`` applies
+them one at a time.
+"""
+
+_WALK = '''\
+            # Contiguous runs of lanes that hold k columns and add m extend
+            # together; a run that adds none is one of stopped lanes.
+            lo = 0
+            for hi in range(1, b + 1):
+                if hi < b and size[hi] == size[lo] and len(selected[hi]) == len(selected[lo]):
+                    continue
+                k, m = size[lo], len(selected[lo])
+                if m:
+                    end = k + m
+                    chosen = np.concatenate(selected[lo:hi]).reshape(hi - lo, m)
+                    _extend(phi.columns(chosen, lo), qt[lo:hi], r[lo:hi], z[lo:hi], x[lo:hi, :, None], k)
+                    order[lo:hi, k:end] = chosen
+                    taken[bounds[lo:hi, None], chosen] = True
+                    size[lo:hi] = [end] * (hi - lo)
+                    np.subtract(x[lo:hi, None], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None])
+                lo = hi
+'''
+_ERRSTATE = '        with np.errstate(over="ignore", under="ignore"):\n'
+_DEDENTED_WALK = "".join(line[4:] for line in _WALK.splitlines(keepends=True))
+
+MUTANTS = [
+    dict(
+        name="regularize-last-maximum",
+        why="regularize picks the last of equal maximal windows instead of the first",
+        file="src/rompkit/recovery.py",
+        old="        start = (energy[ends] - energy[:-1]).argmax()\n",
+        new="        gain = energy[ends] - energy[:-1]\n        start = gain.size - 1 - gain[::-1].argmax()\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="run-walk-outside-errstate",
+        why="extension runs outside the loop's np.errstate, so an odd column norm warns",
+        file="src/rompkit/recovery.py",
+        old=_ERRSTATE + _WALK,
+        new=_DEDENTED_WALK + _ERRSTATE,
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="no-infinite-top-rule",
+        why="regularize takes window energies when the top magnitude is infinite (inf - inf)",
+        file="src/rompkit/recovery.py",
+        old="    if ends[0] < ends.size and top < math.inf:\n",
+        new="    if ends[0] < ends.size:\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="stop-reasons-swapped",
+        why="an empty selection ends as zero-observation when identify picked, support-budget when not",
+        file="src/rompkit/recovery.py",
+        old="end = SUPPORT_BUDGET if edges[lane] < edges[lane + 1] else ZERO_OBSERVATION\n",
+        new="end = ZERO_OBSERVATION if edges[lane] < edges[lane + 1] else SUPPORT_BUDGET\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="stopped-iteration-counted",
+        why="a trial stopped before its extension counts the iteration that added nothing",
+        file="src/rompkit/recovery.py",
+        old="iterations=iterations - stopped,\n",
+        new="iterations=iterations,\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="no-underflow-rule",
+        why="a correlation that underflows to zero ends as zero-observation instead of ValueError",
+        file="src/rompkit/recovery.py",
+        old=(
+            "                    if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows():\n"
+            '                        end = ValueError("correlation underflows to zero: matrix entries too small")\n'
+        ),
+        new="",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="batch-past-n-rows-kept",
+        why="a batch that would take the support past N rows is extended anyway",
+        file="src/rompkit/recovery.py",
+        old="selected.append(chosen[:0] if size[lane] + chosen.size > rows else chosen)\n",
+        new="selected.append(chosen)\n",
+        tests=["tests/test_recovery.py", "tests/test_oracle.py"],
+    ),
+    dict(
+        name="refill-with-ended-lane-k",
+        why="a refilled lane copies as many Q rows as the ended lane held, not as many as it holds",
+        file="src/rompkit/recovery.py",
+        old="qt[lane, : size[lane]] = qt[b, : size[lane]]\n",
+        new="qt[lane, :k] = qt[b, :k]\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="first-window-always",
+        why="regularize keeps the window at the top magnitude without comparing energies",
+        file="src/rompkit/recovery.py",
+        old="    if ends[0] < ends.size and top < math.inf:\n",
+        new="    if False:\n",
+        tests=["tests/test_recovery.py", "tests/test_oracle.py"],
+    ),
+    dict(
+        name="one-gram-schmidt-pass",
+        why="extension orthogonalizes new columns once, without the second Gram-Schmidt pass",
+        file="src/rompkit/recovery.py",
+        old=(
+            "        correction = basis @ columns\n"
+            "        columns -= basis_t @ correction\n"
+            "        r[..., :k, k:end] = coupling + correction\n"
+        ),
+        new="        r[..., :k, k:end] = coupling\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="loose-residual-tolerance",
+        why="the zero-residual stop fires at 1e-3 of ||x|| instead of 1e-10",
+        file="src/rompkit/recovery.py",
+        old="RESIDUAL_TOL = 1e-10\n",
+        new="RESIDUAL_TOL = 1e-3\n",
+        tests=["tests/test_recovery.py", "tests/test_oracle.py"],
+    ),
+    dict(
+        name="half-the-iterations",
+        why="recovery stops after n/2 iterations instead of n",
+        file="src/rompkit/recovery.py",
+        old="elif iterations >= sparsity:\n",
+        new="elif 2 * iterations >= sparsity:\n",
+        tests=["tests/test_recovery.py", "tests/test_oracle.py"],
+    ),
+    dict(
+        name="support-not-zeroed",
+        why="the correlation is not zeroed on the support, so roundoff can select a column twice",
+        file="src/rompkit/recovery.py",
+        old="        correlation[taken[:b]] = 0.0\n",
+        new="",
+        tests=["tests/test_recovery.py"],
+    ),
+]

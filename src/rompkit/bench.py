@@ -12,10 +12,11 @@ round-trip formatting, making the CSV byte-stable under a fixed master seed.
 A cell recovers its trials in lockstep blocks of
 :func:`rompkit.recovery.lockstep_width` trials when they share a matrix,
 and a fresh-matrix partial-Fourier cell does too: a partial-Fourier matrix
-is a :class:`rompkit.ensembles.PartialFourier` operator, never built, and
-each lane carries its own trial's frequencies.  Any other fresh-matrix cell
-runs one trial at a time.  :func:`run_trial` is :func:`run_cell`'s one-trial
-case, so each row equals what it computes for that trial alone.
+is a :class:`rompkit.ensembles.PartialFourier` operator, never built, not
+even to check a traced trial, and each lane carries its own trial's
+frequencies.  Any other fresh-matrix cell runs one trial at a time.
+:func:`run_trial` is :func:`run_cell`'s one-trial case, so each row equals
+what it computes for that trial alone.
 """
 
 import csv
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, PartialFourier, build_matrix, partial_fourier
+from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, PartialFourier, _Dense, build_matrix, partial_fourier
 from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import _rekey, derive_seed, generate_states
@@ -219,8 +220,8 @@ def _signal_spec(config, sparsity, seed):
 def build_cell_matrix(config, sparsity, measurements, trial=0):
     """Measurement matrix for one sweep cell (trial-dependent only when fresh).
 
-    A partial-Fourier cell gets its :class:`PartialFourier` operator, whose
-    dense form is the matrix; it is never built.
+    A partial-Fourier cell gets its :class:`PartialFourier` operator, and
+    no matrix is built.
     """
     path = [_STREAM_MATRIX, measurements, sparsity]
     if config.fresh_matrix_per_trial:
@@ -236,10 +237,6 @@ def build_cell_matrix(config, sparsity, measurements, trial=0):
     return build_matrix(spec)
 
 
-def _measure(matrix, vector):
-    return matrix.apply(vector) if isinstance(matrix, PartialFourier) else matrix @ vector
-
-
 def _streams(config, sparsity, measurements, trials):
     """``(trial, seed, signal key, noise key)`` of each trial, in three batched passes: the
     seeds ``derive_seed(config.seed, _STREAM_TRIAL, N, n, t)``, their ``derive_seed(seed,
@@ -250,33 +247,34 @@ def _streams(config, sparsity, measurements, trials):
     return list(zip(trials, seeds, keys[:, 0], keys[:, 1]))
 
 
-def _draw(config, sparsity, measurements, streams, matrices, generator):
-    """A block's sigmas, noise norms, base supports (a bool mask), signals and measurements,
-    each trial's from its own streams through ``generator``, restarted at their keys."""
+def _norms(rows):
+    """Each row's 2-norm, one dot product per row as ``np.linalg.norm`` takes it."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None]).ravel()
+
+
+def _draw(config, sparsity, measurements, streams, phi, generator):
+    """A block's sigmas, noise norms, base supports (a bool mask), signals and measurements: each trial's
+    drawn from its own streams through ``generator``, restarted at their keys, then measured in one ``phi.apply``."""
     spec = _signal_spec(config, sparsity, config.seed)  # its seed is unused: the keys name the streams
     noise_dim = config.dim if config.noise_target == "signal" else measurements
-    sigmas, norms, signals, measured = [], [], [], []
+    signals = np.empty((len(streams), config.dim))
+    noise = np.empty((len(streams), noise_dim))
     support = np.zeros((len(streams), config.dim), dtype=bool)
-    for i, ((_, _, signal_key, noise_key), matrix) in enumerate(zip(streams, matrices)):
-        base, base_support = _draw_signal(spec, _rekey(generator, signal_key))
+    for i, (_, _, signal_key, noise_key) in enumerate(streams):
+        signals[i], base_support = _draw_signal(spec, _rekey(generator, signal_key))
         support[i, base_support] = True
-        clean = _measure(matrix, base)
-        sigma = config.sigma
-        if sigma is None:
-            sigma = 0.1 * np.linalg.norm(clean) / math.sqrt(noise_dim)
         # add_noise's draw, from the trial's noise stream.
-        noise = sigma * _rekey(generator, noise_key).standard_normal(noise_dim)
-        if config.noise_target == "signal":
-            signal = base + noise
-            measured.append(_measure(matrix, signal))
-            norms.append(0.0)
-        else:
-            signal = base
-            measured.append(clean + noise)
-            norms.append(float(np.linalg.norm(noise)))
-        sigmas.append(float(sigma))
-        signals.append(signal)
-    return sigmas, norms, support, np.array(signals), np.array(measured)
+        noise[i] = _rekey(generator, noise_key).standard_normal(noise_dim)
+    clean = phi.apply(signals)
+    if config.sigma is None:
+        sigmas = 0.1 * _norms(clean) / math.sqrt(noise_dim)
+    else:
+        sigmas = np.full(len(streams), float(config.sigma))
+    noise *= sigmas[:, None]
+    if config.noise_target == "signal":
+        signals += noise
+        return sigmas.tolist(), [0.0] * len(streams), support, signals, phi.apply(signals)
+    return sigmas.tolist(), _norms(noise).tolist(), support, signals, clean + noise
 
 
 def _score(config, algo, sparsity, measurements, streams, matrices, draws, results):
@@ -307,8 +305,7 @@ def _score(config, algo, sparsity, measurements, streams, matrices, draws, resul
     tail = np.abs(signal)
     tail[lanes, ranked[:, :sparsity]] = 0.0
     hits = (found & support).sum(axis=1) / support.sum(axis=1)
-    # One dot product per row, as np.linalg.norm takes it.
-    scores = [np.sqrt(e[:, None, :] @ e[:, :, None]).ravel() for e in (estimates - signal, estimates - top_2n)]
+    scores = [_norms(estimates - signal), _norms(estimates - top_2n)]
     scores += [tail.sum(axis=1), hits]
 
     outcomes = []
@@ -333,7 +330,8 @@ def _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
 
     Every trial is measured through ``matrix``, or, when that is None,
     through its own :func:`build_cell_matrix`; partial-Fourier operators of
-    their own are recovered as one stack of their frequencies.  Matrices
+    their own are one stack of their frequencies.  The block is measured
+    through that operator and recovered through the same Phi.  Matrices
     built here are held only by the returned outcomes.  Signal and noise
     come from ``generator``, re-keyed for each stream.
     """
@@ -341,10 +339,11 @@ def _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
         matrices = [build_cell_matrix(config, sparsity, measurements, t) for t, *_ in streams]
     else:
         matrices = [matrix] * len(streams)
-    draws = _draw(config, sparsity, measurements, streams, matrices, generator)
     phi = matrices[0]
     if any(m is not phi for m in matrices):
         phi = PartialFourier(np.array([m.freqs for m in matrices]), config.dim)
+    operator = phi if isinstance(phi, PartialFourier) else _Dense(phi)
+    draws = _draw(config, sparsity, measurements, streams, operator, generator)
     results = recover_block(algo, phi, draws[-1], sparsity, trace=config.trace)
     return _score(config, algo, sparsity, measurements, streams, matrices, draws, results)
 

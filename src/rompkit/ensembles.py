@@ -6,7 +6,8 @@ restricted isometry constant in (0, 1) attainable at all.
 
 A partial-Fourier matrix is also available as an operator,
 :class:`PartialFourier`, that applies Phi and Phi^T through FFTs and
-gathers columns without ever storing the N x d array.
+gathers columns without ever storing the N x d array; ``_Dense`` gives a
+dense Phi the same calls.
 """
 
 import functools
@@ -147,7 +148,7 @@ class PartialFourier:
     dense products to roundoff, and each row of a batch is computed as it
     would be alone.  ``columns`` and ``dense`` gather entries from the
     same two phase tables, so a gathered column is bit-equal to the dense
-    one.
+    one.  A stack's ``lane_state`` is its frequencies.
     """
 
     def __init__(self, freqs, dim):
@@ -160,6 +161,7 @@ class PartialFourier:
         if f[..., 0].min() < 1 or f[..., -1].max() > (dim - 1) // 2:
             raise ValueError(f"frequencies must lie in 1..{(dim - 1) // 2} at dimension {dim}")
         self.freqs = f.astype(np.int64)
+        self.lane_state = (self.freqs,) if f.ndim == 2 else ()
         self.dim = dim
         self.shape = (2 * f.shape[-1], dim)
         self._scale = np.sqrt(2.0 / self.shape[0])
@@ -237,6 +239,34 @@ class PartialFourier:
         from, byte for byte.  The recovery loop never needs it.
         """
         return self._rows(self.freqs[..., None] * np.arange(self.dim))
+
+    def underflows(self):
+        return False  # the first column holds sqrt(2/N)
+
+
+class _Dense:
+    """A dense N x d Phi with :class:`PartialFourier`'s calls, each row of a block computed alone."""
+
+    lane_state = ()
+
+    def __init__(self, a):
+        self.a = a
+        self.shape = a.shape
+        self._a_t = a.T
+        self._at = self._a_t[None]
+
+    def correlate(self, residuals):
+        return (self._at @ residuals[:, :, None])[:, :, 0]
+
+    def apply(self, block):
+        return (self.a[None] @ block[:, :, None])[:, :, 0]
+
+    def columns(self, index, lo=0):
+        # Each lane's (N, m) block is column-major, as ``a[:, idx]`` lays it out.
+        return self._a_t[index].swapaxes(-1, -2)
+
+    def underflows(self):
+        return np.max(np.abs(self.a)) < np.finfo(np.float64).tiny
 
 
 def probe_ric(matrix, sparsity, samples, seed=0):

@@ -16,8 +16,9 @@ a back-substitution in the small triangular system ``R y = Q^T x``.
 vectors, and the single-vector entry points are blocks of one.  Phi is a
 dense array or a :class:`rompkit.ensembles.PartialFourier` operator, which
 is never built: its correlation is one batched FFT, and each lane of a
-stacked operator carries its own trial's frequencies.  Each trial's result
-is bit-identical to its recovery alone.
+stacked operator carries its own trial's frequencies.  The loop calls both
+kinds through one operator interface.  Each trial's result is
+bit-identical to its recovery alone.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import PartialFourier
+from .ensembles import PartialFourier, _Dense
 from .linalg import (
     RankDeficiencyError,
     as_integer,
@@ -256,36 +257,11 @@ def _extend(columns, qt, r, z, x, k):
     np.matmul(q, x, out=z[..., None, k : k + 1])
 
 
-class _Dense:
-    """A dense Phi behind the two methods the loop calls on a PartialFourier."""
-
-    def __init__(self, a):
-        self.a = a
-        self.shape = a.shape
-        self._a_t = a.T
-        self._at = self._a_t[None]
-
-    def correlate(self, residuals):
-        return (self._at @ residuals[:, :, None])[:, :, 0]
-
-    def columns(self, index, lo):
-        # Each lane's (N, m) block is column-major, as ``a[:, idx]`` lays it out.
-        return self._a_t[index].swapaxes(-1, -2)
-
-
-def _underflows(phi):
-    """Whether every entry of Phi lies below the normal float range.
-
-    A partial-Fourier Phi never does: its first column holds sqrt(2/N).
-    """
-    return isinstance(phi, _Dense) and np.max(np.abs(phi.a)) < np.finfo(np.float64).tiny
-
-
 def _pursue(algo, phi, measurements, sparsity, trace):
     """The greedy loop shared by ROMP and OMP, run in lockstep over a block.
 
     ``measurements`` holds one measurement vector per row, one trial each,
-    and ``phi`` is a :class:`_Dense` Phi or a PartialFourier, of one matrix
+    and ``phi`` is an operator from :mod:`rompkit.ensembles`, of one matrix
     or stacked with one lane per row.  The loop touches Phi in three places
     only: the correlation, the column gather and the underflow test.
     Returns one entry per row, in order: that trial's RecoveryResult, or the
@@ -310,8 +286,8 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     columns and add m is one group, and a run that adds none (stopped lanes)
     is skipped.  OMP lanes all hold ``iterations`` columns and add one, so
     they form a single run; ROMP lanes whose supports and batches have equal
-    sizes share one.  A stacked operator's frequencies are lane state too,
-    and move with the rest when a lane is refilled.  Every stacked product
+    sizes share one.  A stacked operator's ``lane_state`` (its frequencies)
+    moves with the rest when a lane is refilled.  Every stacked product
     is one BLAS call per lane with the shapes and strides a lone trial's
     product has, a stacked QR factors each lane as a lone call does, and a
     batched FFT transforms each row as it would alone, so a trial's result
@@ -348,9 +324,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     taken = np.zeros((width, dim), dtype=bool)
     size = [0] * width
     trial = list(range(width))
-    lane_state = (x, floor, exponents, residual, r, z, order, coeffs, taken, size, trial)
-    if isinstance(phi, PartialFourier) and phi.freqs.ndim == 2:
-        lane_state += (phi.freqs,)
+    lane_state = (x, floor, exponents, residual, r, z, order, coeffs, taken, size, trial) + phi.lane_state
     states = [[] for _ in range(width)] if trace else None
     out = [None] * width
     # Lane numbers: bounds[:b] indexes the active lanes, and searching
@@ -417,7 +391,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     # identify's picks were dropped at N rows, or it found none.  A nonzero residual
                     # whose correlation underflowed to zero is numerical, not x orthogonal to Phi.
                     end = SUPPORT_BUDGET if edges[lane] < edges[lane + 1] else ZERO_OBSERVATION
-                    if end == ZERO_OBSERVATION and residual[lane].any() and _underflows(phi):
+                    if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows():
                         end = ValueError("correlation underflows to zero: matrix entries too small")
                 else:
                     try:
@@ -495,14 +469,10 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     x = as_matrix(measurements)
-    if isinstance(matrix, PartialFourier):
-        phi = matrix
-        stacked = phi.freqs.ndim == 2
-        if stacked and len(phi.freqs) != len(x):
-            raise ValueError(f"a stack of {len(phi.freqs)} lanes for {len(x)} measurement vectors")
-    else:
-        phi = _Dense(as_matrix(matrix))
-        stacked = False
+    phi = matrix if isinstance(matrix, PartialFourier) else _Dense(as_matrix(matrix))
+    stacked = bool(phi.lane_state)
+    if stacked and len(phi.freqs) != len(x):
+        raise ValueError(f"a stack of {len(phi.freqs)} lanes for {len(x)} measurement vectors")
     rows, dim = phi.shape
     if x.shape[1] != rows:
         raise ValueError(
@@ -600,17 +570,17 @@ def energy_floor(sparsity):
 def verify_iteration_invariants(matrix, measurements, sparsity, result):
     """Check every per-iteration invariant on a traced recovery run.
 
-    ``matrix`` is a dense Phi or one PartialFourier matrix, whose dense
-    form the orthogonality check uses.  Returns one human-readable string
-    per broken rule and iteration (empty when clean): the iteration budget
-    n, the support budget 3n, no estimate mass off the support, and per
-    iteration a finite correlation, residual and coefficient vector, at most
-    n candidates, a nonempty comparable selection inside them and disjoint
-    from the previous support, holding ``energy_floor(n)`` of their
+    ``matrix`` is a dense Phi or one PartialFourier matrix, whose
+    ``correlate`` the orthogonality check uses.  Returns one human-readable
+    string per broken rule and iteration (empty when clean): the iteration
+    budget n, the support budget 3n, no estimate mass off the support, and
+    per iteration a finite correlation, residual and coefficient vector, at
+    most n candidates, a nonempty comparable selection inside them and
+    disjoint from the previous support, holding ``energy_floor(n)`` of their
     correlation energy, a support that is exactly the previous one plus the
     selection, and a residual orthogonal to the support's columns.
     """
-    a = matrix.dense() if isinstance(matrix, PartialFourier) else np.asarray(matrix, dtype=np.float64)
+    phi = matrix if isinstance(matrix, PartialFourier) else _Dense(np.asarray(matrix, dtype=np.float64))
     tolerance = ORTHOGONALITY_TOL * np.linalg.norm(np.asarray(measurements, dtype=np.float64))
     floor = energy_floor(sparsity)
     violations = []
@@ -644,7 +614,7 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
         if not np.array_equal(state.support, np.union1d(previous, state.selected)):
             violations.append(f"iter {k}: support is not the previous support plus the selected set")
         # An empty support has no column to check (its empty selection is reported).
-        worst = np.abs(a.T @ state.residual)[state.support].max(initial=0.0)
+        worst = np.abs(phi.correlate(state.residual[None])[0])[state.support].max(initial=0.0)
         if worst > tolerance:
             violations.append(
                 f"iter {k}: residual not orthogonal to selected columns ({worst:.3e} > {tolerance:.3e})"

@@ -5,21 +5,34 @@ series, and a legend.  Output is deterministic for identical input.
 """
 
 import math
+import sys
 from xml.sax.saxutils import escape
 
 __all__ = ["line_plot"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+_HALF_MAX = sys.float_info.max / 2
+
+
+def _half_range(values, pad=0.0):
+    """Half the [min, max] range of ``values``, widened if empty and padded by ``pad`` of its width on
+    each side.  Halving is exact, so no width overflows; the range stays within half the float range."""
+    lo, hi = min(values) / 2, max(values) / 2
+    if hi == lo:
+        step = max(0.5, math.ulp(lo))
+        lo = min(lo, _HALF_MAX - step)
+        hi = lo + step
+    margin = pad * (hi - lo)
+    return max(lo - margin, -_HALF_MAX), min(hi + margin, _HALF_MAX)
 
 
 def _ticks(lo, hi, count=5):
     step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    return [min(lo + i * step, _HALF_MAX) for i in range(count)]
 
 
 def _fmt(value):
-    text = f"{value:.4g}"
-    return text
+    return f"{value:.4g}"
 
 
 def line_plot(series, title="", x_label="", y_label=""):
@@ -33,25 +46,11 @@ def line_plot(series, title="", x_label="", y_label=""):
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
 
-    cleaned = []
-    for label, points in series:
-        pts = [(float(x), float(y)) for x, y in points if y is not None]
-        cleaned.append((label, pts))
-    all_pts = [p for _, pts in cleaned for p in pts]
-    if all_pts:
-        xs = [p[0] for p in all_pts]
-        ys = [p[1] for p in all_pts]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi == x_lo:
-        x_hi = x_lo + max(1.0, math.ulp(x_lo))
-    if y_hi == y_lo:
-        y_hi = y_lo + max(1.0, math.ulp(y_lo))
-    y_pad = 0.05 * (y_hi - y_lo)
-    y_lo -= y_pad
-    y_hi += y_pad
+    cleaned = [(label, [(float(x), float(y)) for x, y in points if y is not None]) for label, points in series]
+    all_pts = [p for _, pts in cleaned for p in pts] or [(0.0, 0.0), (1.0, 1.0)]
+    # Axis ranges, ticks and the positions px and py take are all halves.
+    x_lo, x_hi = _half_range([p[0] for p in all_pts])
+    y_lo, y_hi = _half_range([p[1] for p in all_pts], pad=0.05)
 
     def px(x):
         return margin_left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -81,7 +80,7 @@ def line_plot(series, title="", x_label="", y_label=""):
             f'y2="{margin_top + plot_h + 5}" stroke="#333333"/>'
         )
         out.append(
-            f'<text x="{x:.2f}" y="{margin_top + plot_h + 20}" text-anchor="middle">{_fmt(tx)}</text>'
+            f'<text x="{x:.2f}" y="{margin_top + plot_h + 20}" text-anchor="middle">{_fmt(2 * tx)}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
         y = py(ty)
@@ -89,7 +88,7 @@ def line_plot(series, title="", x_label="", y_label=""):
             f'<line x1="{margin_left - 5}" y1="{y:.2f}" x2="{margin_left}" y2="{y:.2f}" stroke="#333333"/>'
         )
         out.append(
-            f'<text x="{margin_left - 9}" y="{y + 4:.2f}" text-anchor="end">{_fmt(ty)}</text>'
+            f'<text x="{margin_left - 9}" y="{y + 4:.2f}" text-anchor="end">{_fmt(2 * ty)}</text>'
         )
     if x_label:
         out.append(
@@ -105,12 +104,12 @@ def line_plot(series, title="", x_label="", y_label=""):
     for i, (label, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
         if pts:
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+            coords = " ".join(f"{px(x / 2):.2f},{py(y / 2):.2f}" for x, y in pts)
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.8"/>'
             )
             for x, y in pts:
-                out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.6" fill="{color}"/>')
+                out.append(f'<circle cx="{px(x / 2):.2f}" cy="{py(y / 2):.2f}" r="2.6" fill="{color}"/>')
         ly = margin_top + 14 + 18 * i
         lx = margin_left + plot_w + 16
         out.append(

@@ -1,5 +1,7 @@
 import csv
 import gc
+import math
+import sys
 import weakref
 import xml.etree.ElementTree as ET
 
@@ -326,6 +328,24 @@ def test_line_plot_widens_an_equal_range_past_2_53():
         assert "nan" not in svg
 
 
+def test_line_plot_stays_finite_when_a_range_width_overflows():
+    # hi - lo is inf for these ranges, and lo + ulp(lo) is inf at the largest float.  Every
+    # coordinate must be finite, and no tick label may read nan or inf.
+    top = sys.float_info.max
+    cases = [
+        [("a", [(1, -1e308), (2, 1e308)])],
+        [("a", [(-1e308, 1.0), (1e308, 2.0)])],
+        [("a", [(top, top), (top, top)])],
+    ]
+    for series in cases:
+        svg = svgplot.line_plot(series)
+        root = ET.fromstring(svg)
+        assert "nan" not in svg and "inf" not in svg
+        numbers = [e.get(name) for e in root.iter() for name in ("x", "y", "x1", "x2", "y1", "y2", "cx", "cy")]
+        numbers += root.find(".//{http://www.w3.org/2000/svg}polyline").get("points").replace(",", " ").split()
+        assert all(math.isfinite(float(v)) for v in numbers if v is not None)
+
+
 def test_traced_sweep_raises_on_violation_naming_the_cell(monkeypatch):
     monkeypatch.setattr(bench, "verify_iteration_invariants", lambda *args: ["planted violation"])
     with pytest.raises(RuntimeError, match=r"algo=romp, n=2, N=32, trial=0\): planted violation"):
@@ -383,31 +403,49 @@ def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh
 
 
 @pytest.mark.parametrize(
-    "signal_kind, noise_target",
-    [("flat-sparse", "measurement"), ("gaussian-sparse", "signal"), ("power-law", "signal")],
+    "signal_kind, noise_target, ensemble, fresh",
+    [
+        ("flat-sparse", "measurement", "gaussian", False),
+        ("gaussian-sparse", "signal", "gaussian", False),
+        ("power-law", "signal", "gaussian", False),
+        ("gaussian-sparse", "measurement", "partial-fourier-real", False),
+        ("power-law", "signal", "partial-fourier-real", True),
+    ],
+    ids=["flat-sparse-measurement", "gaussian-sparse-signal", "power-law-signal", "shared-partial-fourier", "fresh-partial-fourier"],
 )
-def test_sweep_rows_follow_the_scalar_stream_rule(monkeypatch, signal_kind, noise_target):
-    # A cell derives its seeds and stream keys in batched passes and scores a
-    # block at once; each row must still be what derive_seed, generate_signal,
-    # add_noise and the per-row scores give.  The master seed takes two 32-bit
-    # words, and a budget of three lanes spreads the trials over four blocks.
+def test_sweep_rows_follow_the_scalar_stream_rule(monkeypatch, signal_kind, noise_target, ensemble, fresh):
+    # A cell derives its seeds and stream keys in batched passes, measures and
+    # scores a block at once; each row must still be what derive_seed,
+    # generate_signal, add_noise, the trial's own Phi and the per-row scores
+    # give.  A partial-Fourier row is measured as its lone operator's apply
+    # measures it, through one matrix or a stack of fresh ones.  The master
+    # seed takes two 32-bit words, and a budget of three lanes spreads the
+    # trials over four blocks.
     master = 2**32 + 7
-    config = small_config(trials=10, sparsities=(3,), seed=master, signal_kind=signal_kind, noise_target=noise_target)
+    config = small_config(
+        trials=10, sparsities=(3,), seed=master, signal_kind=signal_kind, noise_target=noise_target,
+        ensemble=ensemble, fresh_matrix_per_trial=fresh,
+    )
     lane_bytes = recovery.LOCKSTEP_BYTES // recovery.lockstep_width("romp", 32, 64, 3)
     monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", 3 * lane_bytes)
     assert recovery.lockstep_width("romp", 32, 64, 3) == 3
-    phi = build_cell_matrix(config, 3, 32)
     for t, outcome in enumerate(bench.run_cell(config, "romp", 3, 32)):
+        phi = build_cell_matrix(config, 3, 32, t)
+        measure = phi.apply if ensemble == "partial-fourier-real" else phi.__matmul__
         record = outcome.record
         assert record.seed == derive_seed(master, 1, 32, 3, t)
         base, support = generate_signal(bench._signal_spec(config, 3, derive_seed(record.seed, 2)))
+        noise_dim = 64 if noise_target == "signal" else 32
+        assert record.sigma == 0.1 * np.linalg.norm(measure(base)) / np.sqrt(noise_dim)
         noise = NoiseSpec(noise_target, record.sigma, derive_seed(record.seed, 3))
         if noise_target == "signal":
             signal = add_noise(base, noise)[0]
-            measured = phi @ signal
+            measured = measure(signal)
+            assert record.norm_e == 0.0
         else:
             signal = base
-            measured = add_noise(phi @ base, noise)[0]
+            measured, e = add_noise(measure(base), noise)
+            assert record.norm_e == np.linalg.norm(e)
         assert outcome.signal.tobytes() == signal.tobytes()
         assert outcome.measured.tobytes() == measured.tobytes()
         estimate = outcome.estimate
@@ -446,17 +484,21 @@ def test_fresh_dense_sweep_holds_one_matrix_at_a_time(monkeypatch):
 
 
 def test_partial_fourier_cells_never_build_a_matrix(monkeypatch):
+    # Traced sweeps check every trial's invariants through the operator too.
     monkeypatch.setattr(bench, "build_matrix", lambda spec: pytest.fail("built a dense matrix"))
     monkeypatch.setattr(PartialFourier, "dense", lambda self: pytest.fail("built a dense matrix"))
-    for fresh in (False, True):
-        config = small_config(ensemble="partial-fourier-real", algorithms=("romp", "omp"), fresh_matrix_per_trial=fresh)
-        assert len(run_sweep(config).records) == 6
+    for trace in (False, True):
+        for fresh in (False, True):
+            config = small_config(
+                ensemble="partial-fourier-real", algorithms=("romp", "omp"), fresh_matrix_per_trial=fresh, trace=trace
+            )
+            assert len(run_sweep(config).records) == 6
 
 
 @pytest.mark.parametrize("noise_target", ["measurement", "signal"])
 def test_traced_fresh_partial_fourier_sweep_keeps_invariants(noise_target):
-    # run_sweep checks every trial's trace against the dense Phi of its own
-    # operator and raises on a violation; check the outcomes here as well.
+    # run_sweep checks every trial's trace through its own operator and
+    # raises on a violation; check the outcomes here as well.
     config = small_config(
         ensemble="partial-fourier-real",
         signal_kind="power-law",
