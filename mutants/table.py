@@ -139,4 +139,44 @@ MUTANTS = [
         new="",
         tests=["tests/test_recovery.py"],
     ),
+    dict(
+        name="entry-skips-finite-check",
+        why="the ensembles entry wraps a dense Phi with np.asarray, so a non-finite Phi is never rejected",
+        file="src/rompkit/ensembles.py",
+        old="    return _Dense(as_matrix(phi))\n",
+        new="    return _Dense(np.asarray(phi, dtype=np.float64))\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="lanes-share-the-stack",
+        why="PartialFourier.lanes hands out the caller's stack, which the loop then permutes",
+        file="src/rompkit/ensembles.py",
+        old="        return PartialFourier(self.freqs[lo:hi], self.dim) if self.lane_state else self\n",
+        new="        return self\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="verifier-no-orthogonality",
+        why="the invariant checker never reports a residual that is not orthogonal to the support",
+        file="src/rompkit/recovery.py",
+        old=(
+            "        if worst > tolerance:\n"
+            "            violations.append(\n"
+            '                f"iter {k}: residual not orthogonal to selected columns ({worst:.3e} > {tolerance:.3e})"\n'
+            "            )\n"
+        ),
+        new="",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="verifier-no-energy-floor",
+        why="the invariant checker never reports a selection below the energy floor",
+        file="src/rompkit/recovery.py",
+        old=(
+            "        if sel_norm < floor * cand_norm:\n"
+            '            violations.append(f"iter {k}: energy floor violated ({sel_norm:.3e} < {floor:.3e} * {cand_norm:.3e})")\n'
+        ),
+        new="",
+        tests=["tests/test_recovery.py"],
+    ),
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, PartialFourier, _Dense, build_matrix, partial_fourier
+from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, _as_operator, build_matrix, partial_fourier
 from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import _rekey, derive_seed, generate_states
@@ -232,9 +232,7 @@ def build_cell_matrix(config, sparsity, measurements, trial=0):
         cols=config.dim,
         seed=derive_seed(config.seed, *path),
     )
-    if spec.kind == PARTIAL_FOURIER_REAL:
-        return partial_fourier(spec)
-    return build_matrix(spec)
+    return partial_fourier(spec) if spec.kind == PARTIAL_FOURIER_REAL else build_matrix(spec)
 
 
 def _streams(config, sparsity, measurements, trials):
@@ -329,21 +327,17 @@ def _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
     """TrialOutcomes of the trials in ``streams``, recovered in one lockstep block.
 
     Every trial is measured through ``matrix``, or, when that is None,
-    through its own :func:`build_cell_matrix`; partial-Fourier operators of
-    their own are one stack of their frequencies.  The block is measured
-    through that operator and recovered through the same Phi.  Matrices
-    built here are held only by the returned outcomes.  Signal and noise
-    come from ``generator``, re-keyed for each stream.
+    through its own :func:`build_cell_matrix`.  The ensembles entry makes
+    the block's matrices one operator, checked once, which measures the
+    block and is recovered through.  Matrices built here are held only by
+    the returned outcomes.  Signal and noise come from ``generator``,
+    re-keyed for each stream.
     """
+    matrices = [matrix] * len(streams)
     if matrix is None:
         matrices = [build_cell_matrix(config, sparsity, measurements, t) for t, *_ in streams]
-    else:
-        matrices = [matrix] * len(streams)
-    phi = matrices[0]
-    if any(m is not phi for m in matrices):
-        phi = PartialFourier(np.array([m.freqs for m in matrices]), config.dim)
-    operator = phi if isinstance(phi, PartialFourier) else _Dense(phi)
-    draws = _draw(config, sparsity, measurements, streams, operator, generator)
+    phi = _as_operator(matrices)
+    draws = _draw(config, sparsity, measurements, streams, phi, generator)
     results = recover_block(algo, phi, draws[-1], sparsity, trace=config.trace)
     return _score(config, algo, sparsity, measurements, streams, matrices, draws, results)
 

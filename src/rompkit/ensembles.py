@@ -7,7 +7,7 @@ restricted isometry constant in (0, 1) attainable at all.
 A partial-Fourier matrix is also available as an operator,
 :class:`PartialFourier`, that applies Phi and Phi^T through FFTs and
 gathers columns without ever storing the N x d array; ``_Dense`` gives a
-dense Phi the same calls.
+dense Phi the same calls, and ``_as_operator`` makes any Phi one of them.
 """
 
 import functools
@@ -240,6 +240,10 @@ class PartialFourier:
         """
         return self._rows(self.freqs[..., None] * np.arange(self.dim))
 
+    def lanes(self, lo, hi):
+        """Lanes lo..hi-1 of a stack, copied so the loop may permute them; one matrix is itself."""
+        return PartialFourier(self.freqs[lo:hi], self.dim) if self.lane_state else self
+
     def underflows(self):
         return False  # the first column holds sqrt(2/N)
 
@@ -265,8 +269,24 @@ class _Dense:
         # Each lane's (N, m) block is column-major, as ``a[:, idx]`` lays it out.
         return self._a_t[index].swapaxes(-1, -2)
 
+    def lanes(self, lo, hi):
+        return self
+
     def underflows(self):
         return np.max(np.abs(self.a)) < np.finfo(np.float64).tiny
+
+
+def _as_operator(phi):
+    """The loop's operator for a raw Phi, the one entry.  An operator passes as it is; a block's list of
+    per-trial matrices is its one matrix's operator when every entry is that matrix, else one stack of
+    their partial-Fourier lanes.  A dense Phi is checked by :func:`as_matrix`."""
+    if isinstance(phi, list) and phi and all(m is phi[0] for m in phi) and np.ndim(phi[0]) != 1:
+        phi = phi[0]
+    if isinstance(phi, (PartialFourier, _Dense)):
+        return phi
+    if isinstance(phi, list) and phi and all(isinstance(m, PartialFourier) and m.dim == phi[0].dim for m in phi):
+        return PartialFourier(np.array([m.freqs for m in phi]), phi[0].dim)
+    return _Dense(as_matrix(phi))
 
 
 def probe_ric(matrix, sparsity, samples, seed=0):

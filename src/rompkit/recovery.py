@@ -16,9 +16,9 @@ a back-substitution in the small triangular system ``R y = Q^T x``.
 vectors, and the single-vector entry points are blocks of one.  Phi is a
 dense array or a :class:`rompkit.ensembles.PartialFourier` operator, which
 is never built: its correlation is one batched FFT, and each lane of a
-stacked operator carries its own trial's frequencies.  The loop calls both
-kinds through one operator interface.  Each trial's result is
-bit-identical to its recovery alone.
+stacked operator carries its own trial's frequencies.  Every raw Phi
+becomes the loop's operator through one entry in :mod:`rompkit.ensembles`.
+Each trial's result is bit-identical to its recovery alone.
 """
 
 import math
@@ -26,14 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import PartialFourier, _Dense
-from .linalg import (
-    RankDeficiencyError,
-    as_integer,
-    as_matrix,
-    as_vector,
-    least_squares,
-)
+from .ensembles import _as_operator
+from .linalg import RankDeficiencyError, as_integer, as_matrix, as_vector, least_squares
 
 __all__ = [
     "ALGORITHMS",
@@ -262,7 +256,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
 
     ``measurements`` holds one measurement vector per row, one trial each,
     and ``phi`` is an operator from :mod:`rompkit.ensembles`, of one matrix
-    or stacked with one lane per row.  The loop touches Phi in three places
+    or a stack with one lane per row.  The loop touches Phi in three places
     only: the correlation, the column gather and the underflow test.
     Returns one entry per row, in order: that trial's RecoveryResult, or the
     RankDeficiencyError or ValueError that ended it, which leaves the other
@@ -286,8 +280,8 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     columns and add m is one group, and a run that adds none (stopped lanes)
     is skipped.  OMP lanes all hold ``iterations`` columns and add one, so
     they form a single run; ROMP lanes whose supports and batches have equal
-    sizes share one.  A stacked operator's ``lane_state`` (its frequencies)
-    moves with the rest when a lane is refilled.  Every stacked product
+    sizes share one.  A stack's ``lane_state`` moves with the rest when a
+    lane is refilled, so ``phi`` is the block's own.  Every stacked product
     is one BLAS call per lane with the shapes and strides a lone trial's
     product has, a stacked QR factors each lane as a lone call does, and a
     batched FFT transforms each row as it would alone, so a trial's result
@@ -458,7 +452,8 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
     RankDeficiencyError or ValueError its recovery raised (other rows are
     unaffected).  Each entry is bit-identical to what :func:`romp_recover`
     / :func:`omp_recover` returns or raises for that row alone, through its
-    own Phi.  Rows are recovered in blocks of :func:`lockstep_width` trials.
+    own Phi.  The ensembles entry makes Phi an operator, and each block of
+    :func:`lockstep_width` rows is recovered through its ``lanes``.
 
     This is the one place recovery inputs are checked, once per call: an
     unknown ``algo``, a non-finite or misshapen Phi or block, a stack whose
@@ -469,26 +464,19 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     x = as_matrix(measurements)
-    phi = matrix if isinstance(matrix, PartialFourier) else _Dense(as_matrix(matrix))
-    stacked = bool(phi.lane_state)
-    if stacked and len(phi.freqs) != len(x):
-        raise ValueError(f"a stack of {len(phi.freqs)} lanes for {len(x)} measurement vectors")
+    phi = _as_operator(matrix)
+    if phi.lane_state and len(phi.lane_state[0]) != len(x):
+        raise ValueError(f"a stack of {len(phi.lane_state[0])} lanes for {len(x)} measurement vectors")
     rows, dim = phi.shape
     if x.shape[1] != rows:
-        raise ValueError(
-            f"dimension mismatch: matrix has {rows} rows, measurements have length {x.shape[1]}"
-        )
+        raise ValueError(f"dimension mismatch: matrix has {rows} rows, measurements have length {x.shape[1]}")
     sparsity = as_integer(sparsity, "sparsity", 1)
     if 3 * sparsity > dim:
-        raise ValueError(
-            f"sparsity {sparsity} too large: need 3*sparsity <= {dim} columns"
-        )
+        raise ValueError(f"sparsity {sparsity} too large: need 3*sparsity <= {dim} columns")
     width = lockstep_width(algo, rows, dim, sparsity)
     out = []
     for lo in range(0, len(x), width):
-        # A block's lanes are permuted as trials finish, so a stack is copied.
-        block = PartialFourier(phi.freqs[lo : lo + width], dim) if stacked else phi
-        out += _pursue(algo, block, x[lo : lo + width], sparsity, trace)
+        out += _pursue(algo, phi.lanes(lo, lo + width), x[lo : lo + width], sparsity, trace)
     return out
 
 
@@ -570,7 +558,8 @@ def energy_floor(sparsity):
 def verify_iteration_invariants(matrix, measurements, sparsity, result):
     """Check every per-iteration invariant on a traced recovery run.
 
-    ``matrix`` is a dense Phi or one PartialFourier matrix, whose
+    ``matrix`` is a dense Phi or one PartialFourier matrix, made an operator
+    by the ensembles entry (a non-finite Phi raises ``ValueError``), whose
     ``correlate`` the orthogonality check uses.  Returns one human-readable
     string per broken rule and iteration (empty when clean): the iteration
     budget n, the support budget 3n, no estimate mass off the support, and
@@ -580,7 +569,7 @@ def verify_iteration_invariants(matrix, measurements, sparsity, result):
     correlation energy, a support that is exactly the previous one plus the
     selection, and a residual orthogonal to the support's columns.
     """
-    phi = matrix if isinstance(matrix, PartialFourier) else _Dense(np.asarray(matrix, dtype=np.float64))
+    phi = _as_operator(matrix)
     tolerance = ORTHOGONALITY_TOL * np.linalg.norm(np.asarray(measurements, dtype=np.float64))
     floor = energy_floor(sparsity)
     violations = []

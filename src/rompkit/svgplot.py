@@ -15,11 +15,12 @@ _HALF_MAX = sys.float_info.max / 2
 
 
 def _half_range(values, pad=0.0):
-    """Half the [min, max] range of ``values``, widened if empty and padded by ``pad`` of its width on
-    each side.  Halving is exact, so no width overflows; the range stays within half the float range."""
+    """Half the [min, max] range of ``values``, padded by ``pad`` of its width on each side; halving is exact, so
+    no width overflows.  The range stays within half the float range, and an empty one is widened by at least
+    2**-48 of its magnitude, so its five ticks stay distinct."""
     lo, hi = min(values) / 2, max(values) / 2
     if hi == lo:
-        step = max(0.5, math.ulp(lo))
+        step = max(0.5, abs(lo) * 2.0**-48)
         lo = min(lo, _HALF_MAX - step)
         hi = lo + step
     margin = pad * (hi - lo)
@@ -32,7 +33,8 @@ def _ticks(lo, hi, count=5):
 
 
 def _fmt(value):
-    return f"{value:.4g}"
+    text = f"{value:.4g}"
+    return text if math.isfinite(float(text)) else repr(value)  # 4 digits round up past the largest float
 
 
 def line_plot(series, title="", x_label="", y_label=""):

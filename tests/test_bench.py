@@ -330,20 +330,30 @@ def test_line_plot_widens_an_equal_range_past_2_53():
 
 def test_line_plot_stays_finite_when_a_range_width_overflows():
     # hi - lo is inf for these ranges, and lo + ulp(lo) is inf at the largest float.  Every
-    # coordinate must be finite, and no tick label may read nan or inf.
+    # coordinate must be finite, and no tick label may read nan or inf, nor read back as one
+    # (1.798e+308 does).  Each axis puts its five ticks at five distinct positions.
     top = sys.float_info.max
     cases = [
         [("a", [(1, -1e308), (2, 1e308)])],
         [("a", [(-1e308, 1.0), (1e308, 2.0)])],
         [("a", [(top, top), (top, top)])],
+        [("a", [(1, -top), (2, top)])],
+        [("a", [(-top, -top)])],
     ]
+    svg_ns = "{http://www.w3.org/2000/svg}"
     for series in cases:
         svg = svgplot.line_plot(series)
         root = ET.fromstring(svg)
         assert "nan" not in svg and "inf" not in svg
         numbers = [e.get(name) for e in root.iter() for name in ("x", "y", "x1", "x2", "y1", "y2", "cx", "cy")]
-        numbers += root.find(".//{http://www.w3.org/2000/svg}polyline").get("points").replace(",", " ").split()
+        numbers += root.find(f".//{svg_ns}polyline").get("points").replace(",", " ").split()
         assert all(math.isfinite(float(v)) for v in numbers if v is not None)
+        labels = [e.text for e in root.iter(f"{svg_ns}text") if e.text and e.text[-1].isdigit()]
+        assert len(labels) == 10 and all(math.isfinite(float(text)) for text in labels), labels
+        lines = list(root.iter(f"{svg_ns}line"))
+        x_ticks = {e.get("x1") for e in lines if e.get("y2") == "429"}  # ticks below the plot
+        y_ticks = {e.get("y1") for e in lines if e.get("x1") == "65"}  # ticks left of the plot
+        assert len(x_ticks) == len(y_ticks) == 5, (x_ticks, y_ticks)
 
 
 def test_traced_sweep_raises_on_violation_naming_the_cell(monkeypatch):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from rompkit import recovery
 from rompkit.ensembles import (
     EnsembleSpec,
     PartialFourier,
     RicEstimate,
+    _Dense,
     build_matrix,
     partial_fourier,
     probe_ric,
@@ -203,7 +203,7 @@ def test_operator_columns_are_bit_equal_to_dense_columns(rows, dim):
     want = np.array([dense[2][:, row] for row in index])
     assert single.columns(index).tobytes() == single.columns(index, 3).tobytes() == want.tobytes()
     # Each lane's block of the dense gather is laid out as ``a[:, idx]``.
-    gathered = recovery._Dense(dense[2]).columns(index, 0)
+    gathered = _Dense(dense[2]).columns(index, 0)
     for block, row in zip(gathered, index):
         lone = dense[2][:, row]
         assert block.strides == lone.strides and block.tobytes() == lone.tobytes()
@@ -221,7 +221,7 @@ def test_operator_columns_reject_an_index_out_of_range(bad):
     with pytest.raises(IndexError):
         dense[:, [0, bad]]
     with pytest.raises(IndexError):
-        recovery._Dense(dense).columns(np.array([[0, bad]]), 0)
+        _Dense(dense).columns(np.array([[0, bad]]), 0)
     with pytest.raises(IndexError):
         op.columns(np.array([[0, bad]]))
 

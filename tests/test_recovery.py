@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rompkit import bench, recovery
+from rompkit import bench, ensembles, recovery
 from rompkit.ensembles import EnsembleSpec, PartialFourier, build_matrix, partial_fourier
 from rompkit.linalg import RankDeficiencyError
 from rompkit.recovery import (
@@ -780,6 +780,21 @@ def test_verifier_reports_an_empty_first_support():
     assert "iter 0: empty selection" in verify_iteration_invariants(VERIFIER_PHI, VERIFIER_X, VERIFIER_N, run)
 
 
+def test_verifier_rejects_a_non_finite_matrix():
+    # NaN on the support columns once left every rule passing, and an inf Phi only warned.
+    phi = build_matrix(EnsembleSpec("gaussian", 64, 256, seed=3))
+    rng = substream(4)
+    v = np.zeros(256)
+    v[rng.choice(256, size=4, replace=False)] = rng.standard_normal(4)
+    result = romp_recover(phi, phi @ v, 4, trace=True)
+    assert verify_iteration_invariants(phi, phi @ v, 4, result) == []
+    poisoned = phi.copy()
+    poisoned[:, result.support] = np.nan
+    for bad in (poisoned, np.full_like(phi, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            verify_iteration_invariants(bad, phi @ v, 4, result)
+
+
 @pytest.mark.parametrize("case", VERIFIER_CASES)
 def test_verifier_flags_each_broken_rule_alone(case, monkeypatch):
     edit, message = VERIFIER_CASES[case]
@@ -1145,8 +1160,8 @@ def test_block_validates_the_matrix_once(monkeypatch, recover):
     # A lone call is a block of one, so it also scans Phi exactly once.
     phi, block = mixed_termination_block()
     scans = []
-    real = recovery.as_matrix
-    monkeypatch.setattr(recovery, "as_matrix", lambda m: scans.append(np.shape(m)) or real(m))
+    real = ensembles.as_matrix
+    monkeypatch.setattr(ensembles, "as_matrix", lambda m: scans.append(np.shape(m)) or real(m))
     recover(phi, block)
     assert scans.count(phi.shape) == 1
     phi[3, 7] = np.nan
