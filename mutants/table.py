@@ -179,4 +179,28 @@ MUTANTS = [
         new="",
         tests=["tests/test_recovery.py"],
     ),
+    dict(
+        name="cell-unchecked-at-call",
+        why="run_cell checks only its two counts at the call, so a bad algorithm or N raises at the first next",
+        file="src/rompkit/bench.py",
+        old="    replace(config, algorithms=(algo,), sparsities=(sparsity,), measurement_counts=(measurements,))\n",
+        new="",
+        tests=["tests/test_bench.py"],
+    ),
+    dict(
+        name="conversion-lets-typeerror",
+        why="the matrix and vector conversion catches only ValueError, so a non-numeric entry raises TypeError",
+        file="src/rompkit/linalg.py",
+        old="    except TypeError as exc:\n",
+        new="    except ValueError as exc:\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="sweep-drops-power-scale",
+        why="rompkit sweep leaves --scale out of the config, so every sweep runs at the default scale",
+        file="src/rompkit/cli.py",
+        old='if name not in ("command", "algo")}\n',
+        new='if name not in ("command", "algo", "power_scale")}\n',
+        tests=["tests/test_cli.py"],
+    ),
 ]

@@ -22,7 +22,7 @@ what it computes for that trial alone.
 import csv
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -176,16 +176,13 @@ class SweepConfig:
             values = getattr(self, name)
             if isinstance(values, (str, bytes)) or not np.iterable(values):
                 raise ValueError(f"{name} must be a sequence of grid values, got {values!r}")
-            object.__setattr__(self, name, tuple(values))
-        for name in ("sparsities", "measurement_counts"):
-            object.__setattr__(self, name, tuple(as_integer(v, f"each of {name}", 1) for v in getattr(self, name)))
-        if not self.sparsities or not self.measurement_counts:
-            raise ValueError("sparsities and measurement_counts must be nonempty")
-        for name in ("sparsities", "measurement_counts", "algorithms"):
-            values = getattr(self, name)
+            values = [v if name == "algorithms" else as_integer(v, f"each of {name}", 1) for v in values]
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{name} repeats {value!r}; each grid value runs once")
+            object.__setattr__(self, name, tuple(values))
+        if not self.sparsities or not self.measurement_counts:
+            raise ValueError("sparsities and measurement_counts must be nonempty")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -343,13 +340,15 @@ def _run_block(config, algo, sparsity, measurements, streams, matrix, generator)
 
 
 def _outcomes(config, algo, sparsity, measurements, trials):
-    """An iterator over the TrialOutcomes of ``trials`` of one cell, set up at the call.
+    """An iterator over the TrialOutcomes of ``trials`` of one cell, checked and set up at the call.
 
     Each block runs as the iterator reaches it, so a fresh dense matrix is
     built only once the previous one is held by nothing but its outcome.
     """
     sparsity = as_integer(sparsity, "sparsity", 1)
     measurements = as_integer(measurements, "measurements", 1)
+    # SweepConfig's own checks, run on this one cell; the copy is not kept.
+    replace(config, algorithms=(algo,), sparsities=(sparsity,), measurement_counts=(measurements,))
     fresh = config.fresh_matrix_per_trial
     shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
     stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL
@@ -369,10 +368,9 @@ def run_trial(config, algo, sparsity, measurements, trial):
     The record equals that trial's row of any sweep.  A recovery run that
     dies in the least-squares step (numerically dependent columns, i.e. far
     outside the isometry regime) is scored as a total miss: zero estimate,
-    termination ``rank-deficient``.  ``algo`` must be one of ``ALGORITHMS``
-    exactly; any other name raises ``ValueError``, as do a float, a
-    ``sparsity`` or ``measurements`` below 1 and a negative ``trial``, each
-    naming the argument.
+    termination ``rank-deficient``.  The cell is checked as
+    :func:`run_cell` checks it, and a float or negative ``trial`` raises
+    ``ValueError`` naming it.
     """
     (outcome,) = _outcomes(config, algo, sparsity, measurements, [as_integer(trial, "trial", 0)])
     return outcome
@@ -381,9 +379,11 @@ def run_trial(config, algo, sparsity, measurements, trial):
 def run_cell(config, algo, sparsity, measurements):
     """An iterator over the TrialOutcome of each trial of one cell, in trial order.
 
-    ``sparsity`` and ``measurements`` are checked at the call, as in
-    :func:`run_trial`.  Blocks run as the module docstring describes, and
-    each row equals :func:`run_trial`'s.
+    The cell is checked at the call: a ``sparsity`` or ``measurements`` that
+    is a float or below 1 raises ``ValueError`` naming it, as do an unknown
+    ``algo``, 3n > d and an N the ensemble rejects, by :class:`SweepConfig`'s
+    rule, fresh cells included.  Blocks run as the module docstring
+    describes, and each row equals :func:`run_trial`'s.
     """
     return _outcomes(config, algo, sparsity, measurements, range(config.trials))
 

@@ -41,24 +41,29 @@ def build_parser():
 
     swp = sub.add_parser("sweep", help="Monte-Carlo sweep over (sparsity, measurements) cells")
     swp.add_argument("--dim", type=int, default=256, help="ambient dimension d (default 256)")
-    swp.add_argument("--measurements", type=_int_list, default=[32 * k for k in range(1, 9)],
+    # Each flag's dest is the SweepConfig field it sets, and its metavar keeps the help text.
+    swp.add_argument("--measurements", dest="measurement_counts", metavar="MEASUREMENTS", type=_int_list,
+                     default=[32 * k for k in range(1, 9)],
                      help="comma list of measurement counts N (default 32,64,...,256)")
-    swp.add_argument("--sparsity", type=_int_list, default=[4, 8, 12, 16, 20],
+    swp.add_argument("--sparsity", dest="sparsities", metavar="SPARSITY", type=_int_list, default=[4, 8, 12, 16, 20],
                      help="comma list of sparsity levels n (default 4,8,12,16,20)")
     swp.add_argument("--trials", type=int, default=100, help="trials per cell (default 100)")
     swp.add_argument("--ensemble", choices=ENSEMBLE_KINDS, default="gaussian")
-    swp.add_argument("--signal", choices=SIGNAL_KINDS, default="flat-sparse")
-    swp.add_argument("--noise", choices=NOISE_TARGETS, default="measurement",
+    swp.add_argument("--signal", dest="signal_kind", choices=SIGNAL_KINDS, default="flat-sparse")
+    swp.add_argument("--noise", dest="noise_target", choices=NOISE_TARGETS, default="measurement",
                      help="perturb the measurements or the signal itself")
     swp.add_argument("--sigma", type=float, default=None,
                      help="noise standard deviation per entry; default scales per trial so "
                           "the noise norm is ~0.1 of the clean measurement norm")
-    swp.add_argument("--exponent", type=float, default=2.0, help="power-law decay exponent (power-law signals)")
-    swp.add_argument("--scale", type=float, default=1.0, help="power-law magnitude scale")
+    swp.add_argument("--exponent", dest="power_exponent", metavar="EXPONENT", type=float, default=2.0,
+                     help="power-law decay exponent (power-law signals)")
+    swp.add_argument("--scale", dest="power_scale", metavar="SCALE", type=float, default=1.0,
+                     help="power-law magnitude scale")
     swp.add_argument("--algo", choices=ALGORITHMS + ("both",), default="romp")
     swp.add_argument("--seed", type=int, default=0, help="master seed; fixes the whole sweep")
-    swp.add_argument("--csv", help="write one row per trial here (aggregates go to *.agg.csv)")
-    swp.add_argument("--svg", help="write a line plot (metric vs N, one polyline per n)")
+    swp.add_argument("--csv", dest="csv_path", metavar="CSV",
+                     help="write one row per trial here (aggregates go to *.agg.csv)")
+    swp.add_argument("--svg", dest="svg_path", metavar="SVG", help="write a line plot (metric vs N, one polyline per n)")
     swp.add_argument("--trace", action="store_true",
                      help="assert per-iteration algorithm invariants on every trial (slower)")
     swp.add_argument("--fresh-matrix-per-trial", action="store_true",
@@ -99,25 +104,8 @@ def cmd_recover(args):
 
 
 def cmd_sweep(args):
-    algorithms = ALGORITHMS if args.algo == "both" else (args.algo,)
-    config = SweepConfig(
-        dim=args.dim,
-        sparsities=tuple(args.sparsity),
-        measurement_counts=tuple(args.measurements),
-        trials=args.trials,
-        ensemble=args.ensemble,
-        signal_kind=args.signal,
-        noise_target=args.noise,
-        sigma=args.sigma,
-        power_exponent=args.exponent,
-        power_scale=args.scale,
-        algorithms=algorithms,
-        seed=args.seed,
-        csv_path=args.csv,
-        svg_path=args.svg,
-        trace=args.trace,
-        fresh_matrix_per_trial=args.fresh_matrix_per_trial,
-    )
+    fields = {name: value for name, value in vars(args).items() if name not in ("command", "algo")}
+    config = SweepConfig(**fields, algorithms=ALGORITHMS if args.algo == "both" else (args.algo,))
     report = run_sweep(config)
     print(f"ran {len(report.records)} trials over {len(report.cells)} cells")
     for cell in report.cells:
@@ -133,10 +121,10 @@ def cmd_sweep(args):
         if cell.failures:
             parts.append(f"failures={cell.failures}")
         print(" ".join(parts))
-    if args.csv:
-        print(f"wrote {args.csv} and {aggregates_path(args.csv)}")
-    if args.svg:
-        print(f"wrote {args.svg}")
+    if config.csv_path:
+        print(f"wrote {config.csv_path} and {aggregates_path(config.csv_path)}")
+    if config.svg_path:
+        print(f"wrote {config.svg_path}")
     return 0
 
 

@@ -5,8 +5,8 @@ columns; its refit ``least_squares`` (not public) takes ``R`` and ``Q^T x``,
 re-checks only finiteness and the rank rule on diag R, and back-substitutes.
 
 Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
-float64 arrays.  Everything here is a pure function; nothing mutates its
-inputs.
+float64 arrays, both made by one conversion rule, which rejects an entry
+that is NaN, Inf or not a real number.  Nothing here mutates its inputs.
 """
 
 import operator
@@ -63,24 +63,26 @@ def as_integer(value, name, minimum=None):
     return value
 
 
-def as_matrix(m):
-    """Coerce to a 2-D float64 array, rejecting NaN/Inf entries."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+def _as_array(value, ndim, kind):
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{kind} entries must be real numbers: {exc}") from None
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"expected a {ndim}-D {kind}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{kind} entries must be finite")
     return a
+
+
+def as_matrix(m):
+    """Coerce to a 2-D float64 array, rejecting NaN/Inf and non-numeric entries."""
+    return _as_array(m, 2, "matrix")
 
 
 def as_vector(v):
-    """Coerce to a 1-D float64 array, rejecting NaN/Inf entries."""
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
-    return a
+    """Coerce to a 1-D float64 array, rejecting NaN/Inf and non-numeric entries."""
+    return _as_array(v, 1, "vector")
 
 
 def least_squares(r, qtx):

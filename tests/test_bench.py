@@ -168,6 +168,26 @@ def test_trial_rejects_unknown_algorithm(algo):
         run_trial(small_config(), algo, 2, 32, 0)
 
 
+@pytest.mark.parametrize(
+    "overrides, algo, sparsity, measurements, message",
+    [
+        ({}, "lasso", 2, 32, "unknown algorithm"),
+        ({}, "romp", 30, 32, r"need 3\*n <= dim = 64"),
+        ({"fresh_matrix_per_trial": True}, "romp", 2, 100, "must not exceed cols"),
+        ({"fresh_matrix_per_trial": True, "ensemble": "partial-fourier-real"}, "romp", 2, 31, "even number of rows"),
+    ],
+    ids=["unknown-algorithm", "3n-over-d", "fresh-gaussian-N-over-d", "fresh-partial-fourier-odd-N"],
+)
+def test_cell_is_checked_at_the_call(overrides, algo, sparsity, measurements, message):
+    # No next: run_cell checks its cell by SweepConfig's rule before any
+    # block runs, fresh cells included, and run_trial by the same check.
+    config = small_config(**overrides)
+    with pytest.raises(ValueError, match=message):
+        bench.run_cell(config, algo, sparsity, measurements)
+    with pytest.raises(ValueError, match=message):
+        run_trial(config, algo, sparsity, measurements, 0)
+
+
 def test_trial_deterministic_given_cell_and_index():
     config = small_config()
     a = run_trial(config, "romp", 2, 32, 1).record

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rompkit import cli, textio
-from rompkit.bench import TRIAL_CSV_HEADER, SweepConfig, aggregates_path, run_sweep
+from rompkit.bench import TRIAL_CSV_HEADER, SweepConfig, SweepReport, aggregates_path, run_sweep
 from rompkit.ensembles import EnsembleSpec, build_matrix
 from rompkit.recovery import romp_recover
 
@@ -128,6 +128,46 @@ def test_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 3
     assert open(svg_path, encoding="utf-8").read().startswith("<svg")
     assert "ran 6 trials" in capsys.readouterr().out
+
+
+def test_every_sweep_flag_reaches_its_config_field(tmp_path, monkeypatch, capsys):
+    # Each flag set to a value other than its default, so a flag that fails
+    # to reach its SweepConfig field leaves that field at its default.
+    configs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or SweepReport(config, [], []))
+    csv_path, svg_path = str(tmp_path / "out.csv"), str(tmp_path / "out.svg")
+    code = cli.main([
+        "sweep", "--dim", "128", "--measurements", "32,64", "--sparsity", "4,8", "--trials", "3",
+        "--ensemble", "bernoulli", "--signal", "power-law", "--noise", "signal", "--sigma", "0.5",
+        "--exponent", "1.5", "--scale", "2", "--algo", "both", "--seed", "4", "--csv", csv_path,
+        "--svg", svg_path, "--trace", "--fresh-matrix-per-trial",
+    ])
+    assert code == 0
+    assert configs == [SweepConfig(
+        dim=128,
+        sparsities=(4, 8),
+        measurement_counts=(32, 64),
+        trials=3,
+        ensemble="bernoulli",
+        signal_kind="power-law",
+        noise_target="signal",
+        sigma=0.5,
+        power_exponent=1.5,
+        power_scale=2.0,
+        algorithms=("romp", "omp"),
+        seed=4,
+        csv_path=csv_path,
+        svg_path=svg_path,
+        trace=True,
+        fresh_matrix_per_trial=True,
+    )]
+    capsys.readouterr()
+    # The flags' help still names each value as before.
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    usage = capsys.readouterr().out
+    for text in ("--sparsity SPARSITY", "--measurements MEASUREMENTS", "--csv CSV", "--svg SVG"):
+        assert text in usage
 
 
 def test_sweep_defaults_reproduce_signal_noise_figure(tmp_path):

@@ -329,6 +329,18 @@ def test_romp_validates_inputs(gaussian_64x128):
             recover_block("romp", gaussian_64x128, np.ones(shape), 2)
 
 
+def test_non_numeric_entries_are_a_value_error(gaussian_64x128):
+    # numpy raises TypeError for an entry that is not a real number; the
+    # matrix and vector checks share one conversion that makes it ValueError.
+    pf64, pf128 = (partial_fourier(EnsembleSpec("partial-fourier-real", 8, d)) for d in (64, 128))
+    with pytest.raises(ValueError, match="matrix entries must be real numbers"):
+        recover_block("romp", [pf64, pf128], np.ones((2, 8)), 2)
+    with pytest.raises(ValueError, match="matrix entries must be real numbers"):
+        romp_recover(np.array([[object()] * 64] * 8), np.ones(8), 2)
+    with pytest.raises(ValueError, match="vector entries must be real numbers"):
+        omp_recover(gaussian_64x128, [object()] * 64, 2)
+
+
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
 def test_integer_like_sparsity_runs_as_its_value(recover, gaussian_64x128):
     x = gaussian_64x128[:, 5] - 0.5 * gaussian_64x128[:, 40]
