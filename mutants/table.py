@@ -203,4 +203,28 @@ MUTANTS = [
         new='if name not in ("command", "algo", "power_scale")}\n',
         tests=["tests/test_cli.py"],
     ),
+    dict(
+        name="fresh-matrix-next-key",
+        why="a fresh cell's batched pass keys trial t's matrix with trial t + 1's seed",
+        file="src/rompkit/bench.py",
+        old="    return list(zip(seeds[:, 0].tolist(), generate_states(seeds.tolist(), 2)))\n",
+        new="    return list(zip(seeds[:, 0].tolist(), generate_states(np.roll(seeds, -1, axis=0).tolist(), 2)))\n",
+        tests=["tests/test_bench.py"],
+    ),
+    dict(
+        name="fresh-matrix-drops-sparsity",
+        why="a fresh cell's batched matrix seeds leave n out of the path, so cells of equal N share matrices",
+        file="src/rompkit/bench.py",
+        old="[[config.seed, _STREAM_MATRIX, measurements, sparsity, t] for t in trials]",
+        new="[[config.seed, _STREAM_MATRIX, measurements, t] for t in trials]",
+        tests=["tests/test_bench.py"],
+    ),
+    dict(
+        name="complex-cast-to-real",
+        why="the matrix and vector conversion casts a complex array to its real part",
+        file="src/rompkit/linalg.py",
+        old='    if a.dtype.kind == "c":\n',
+        new="    if False:\n",
+        tests=["tests/test_recovery.py"],
+    ),
 ]

@@ -9,12 +9,14 @@ the trial, with fresh matrices), so replaying one trial takes the sweep's
 config plus the row's cell and trial index.  Rows are emitted in
 deterministic (cell, trial) order and floats are serialized with shortest
 round-trip formatting, making the CSV byte-stable under a fixed master seed.
+A cell derives its trials' seeds and stream keys in batched passes before
+its first block, and a fresh-matrix cell its matrices' seeds and keys too.
 A cell recovers its trials in lockstep blocks of
 :func:`rompkit.recovery.lockstep_width` trials when they share a matrix,
 and a fresh-matrix partial-Fourier cell does too: a partial-Fourier matrix
 is a :class:`rompkit.ensembles.PartialFourier` operator, never built, not
-even to check a traced trial, and each lane carries its own trial's
-frequencies.  Any other fresh-matrix cell runs one trial at a time.
+even to check a traced trial, and each lane carries the frequencies its
+trial's key drew.  Any other fresh-matrix cell runs one trial at a time.
 :func:`run_trial` is :func:`run_cell`'s one-trial case, so each row equals
 what it computes for that trial alone.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, _as_operator, build_matrix, partial_fourier
+from .ensembles import PARTIAL_FOURIER_REAL, EnsembleSpec, _as_operator, _draw_matrix, build_matrix, partial_fourier
 from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import _rekey, derive_seed, generate_states
@@ -242,6 +244,13 @@ def _streams(config, sparsity, measurements, trials):
     return list(zip(trials, seeds, keys[:, 0], keys[:, 1]))
 
 
+def _matrix_streams(config, sparsity, measurements, trials):
+    """``(seed, key)`` of each fresh trial's matrix, in two batched passes: the seeds
+    ``derive_seed(config.seed, _STREAM_MATRIX, N, n, t)`` and the Philox keys ``substream`` gives them."""
+    seeds = generate_states([[config.seed, _STREAM_MATRIX, measurements, sparsity, t] for t in trials], 1)
+    return list(zip(seeds[:, 0].tolist(), generate_states(seeds.tolist(), 2)))
+
+
 def _norms(rows):
     """Each row's 2-norm, one dot product per row as ``np.linalg.norm`` takes it."""
     return np.sqrt(rows[:, None, :] @ rows[:, :, None]).ravel()
@@ -320,19 +329,27 @@ def _score(config, algo, sparsity, measurements, streams, matrices, draws, resul
     return outcomes
 
 
-def _run_block(config, algo, sparsity, measurements, streams, matrix, generator):
+def _run_block(config, algo, sparsity, measurements, streams, matrices, generator):
     """TrialOutcomes of the trials in ``streams``, recovered in one lockstep block.
 
-    Every trial is measured through ``matrix``, or, when that is None,
-    through its own :func:`build_cell_matrix`.  The ensembles entry makes
-    the block's matrices one operator, checked once, which measures the
-    block and is recovered through.  Matrices built here are held only by
-    the returned outcomes.  Signal and noise come from ``generator``,
-    re-keyed for each stream.
+    ``matrices`` holds each trial's matrix, or, in a fresh cell, the
+    ``(seed, key)`` of each trial's matrix from :func:`_matrix_streams`, and
+    the matrix is made here, equal to :func:`build_cell_matrix`'s: a
+    partial-Fourier one is drawn from ``generator`` restarted at its key, a
+    dense one built by :func:`build_matrix` from its seed.  The ensembles
+    entry makes the block's matrices one operator, checked once, which
+    measures the block and is recovered through.  Matrices made here are
+    held only by the returned outcomes.  Signal and noise come from
+    ``generator``, re-keyed for each stream.
     """
-    matrices = [matrix] * len(streams)
-    if matrix is None:
-        matrices = [build_cell_matrix(config, sparsity, measurements, t) for t, *_ in streams]
+    if config.fresh_matrix_per_trial:
+        spec = EnsembleSpec(config.ensemble, measurements, config.dim)  # its seed is unused: each trial names its own
+        matrices = [
+            _draw_matrix(spec, _rekey(generator, key))
+            if spec.kind == PARTIAL_FOURIER_REAL
+            else build_matrix(replace(spec, seed=seed))
+            for seed, key in matrices
+        ]
     phi = _as_operator(matrices)
     draws = _draw(config, sparsity, measurements, streams, phi, generator)
     results = recover_block(algo, phi, draws[-1], sparsity, trace=config.trace)
@@ -350,14 +367,19 @@ def _outcomes(config, algo, sparsity, measurements, trials):
     # SweepConfig's own checks, run on this one cell; the copy is not kept.
     replace(config, algorithms=(algo,), sparsities=(sparsity,), measurement_counts=(measurements,))
     fresh = config.fresh_matrix_per_trial
-    shared = None if fresh else build_cell_matrix(config, sparsity, measurements)
+    if fresh:
+        matrices = _matrix_streams(config, sparsity, measurements, trials)
+    else:
+        matrices = [build_cell_matrix(config, sparsity, measurements)] * len(trials)
     stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL
     width = lockstep_width(algo, measurements, config.dim, sparsity) if stackable else 1
     streams = _streams(config, sparsity, measurements, trials)
     # One Philox for the cell, restarted at each stream's key.
     generator = np.random.Generator(np.random.Philox(0))
     return itertools.chain.from_iterable(
-        _run_block(config, algo, sparsity, measurements, streams[lo : lo + width], shared, generator)
+        _run_block(
+            config, algo, sparsity, measurements, streams[lo : lo + width], matrices[lo : lo + width], generator
+        )
         for lo in range(0, len(streams), width)
     )
 

@@ -109,14 +109,8 @@ def build_matrix(spec):
     is rounded before its reduction, and the build makes 2 d cosine and sine
     evaluations instead of N d.
     """
-    if spec.kind == PARTIAL_FOURIER_REAL:
-        return partial_fourier(spec).dense()
-    rng = substream(spec.seed)
-    n_rows, dim = spec.rows, spec.cols
-    if spec.kind == GAUSSIAN:
-        return rng.standard_normal((n_rows, dim)) / np.sqrt(n_rows)
-    signs = rng.integers(0, 2, size=(n_rows, dim)) * 2 - 1
-    return signs / np.sqrt(n_rows)
+    matrix = _draw_matrix(spec, substream(spec.seed))
+    return matrix.dense() if spec.kind == PARTIAL_FOURIER_REAL else matrix
 
 
 def partial_fourier(spec):
@@ -127,10 +121,21 @@ def partial_fourier(spec):
     """
     if spec.kind != PARTIAL_FOURIER_REAL:
         raise ValueError(f"{spec.kind} matrices have no partial-Fourier operator")
-    # spec validation guarantees enough frequencies
-    available = np.arange(1, (spec.cols - 1) // 2 + 1)
-    freqs = np.sort(substream(spec.seed).choice(available, size=spec.rows // 2, replace=False))
-    return PartialFourier(freqs, spec.cols)
+    return _draw_matrix(spec, substream(spec.seed))
+
+
+def _draw_matrix(spec, rng):
+    """``spec``'s matrix drawn from ``rng`` instead of ``spec.seed``'s stream: a
+    :class:`PartialFourier` for the trigonometric kind, else the array."""
+    n_rows, dim = spec.rows, spec.cols
+    if spec.kind == PARTIAL_FOURIER_REAL:
+        # spec validation guarantees enough frequencies
+        available = np.arange(1, (dim - 1) // 2 + 1)
+        return PartialFourier(np.sort(rng.choice(available, size=n_rows // 2, replace=False)), dim)
+    if spec.kind == GAUSSIAN:
+        return rng.standard_normal((n_rows, dim)) / np.sqrt(n_rows)
+    signs = rng.integers(0, 2, size=(n_rows, dim)) * 2 - 1
+    return signs / np.sqrt(n_rows)
 
 
 class PartialFourier:

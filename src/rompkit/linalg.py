@@ -45,7 +45,7 @@ class RankDeficiencyError(ValueError):
         super().__init__(msg)
 
 
-def as_integer(value, name, minimum=None):
+def as_integer(value, name, minimum):
     """``value`` as a Python int, or ``ValueError`` naming ``name``.
 
     Anything ``operator.index`` accepts passes, numpy integers included;
@@ -57,15 +57,19 @@ def as_integer(value, name, minimum=None):
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and value < minimum:
+    if value < minimum:
         bound = "non-negative" if minimum == 0 else f"at least {minimum}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return value
 
 
 def _as_array(value, ndim, kind):
+    a = np.asarray(value)
+    # Checked before the cast, which would keep only the real part.
+    if a.dtype.kind == "c":
+        raise ValueError(f"{kind} entries must be real numbers, got {a.dtype}")
     try:
-        a = np.asarray(value, dtype=np.float64)
+        a = a.astype(np.float64, copy=False)
     except TypeError as exc:
         raise ValueError(f"{kind} entries must be real numbers: {exc}") from None
     if a.ndim != ndim or 0 in a.shape:

@@ -64,7 +64,7 @@ _SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
 ALGORITHMS = ("romp", "omp")
 # Byte budget of one lockstep block's per-trial state, mostly the stacked QR
 # factors; see lockstep_width.
-LOCKSTEP_BYTES = 1 << 18
+LOCKSTEP_BYTES = 1 << 20
 
 
 @dataclass
@@ -194,7 +194,10 @@ def lockstep_width(algo, rows, dim, sparsity):
 
     A trial's lane holds its QR factor (``capacity x (N + capacity)``
     floats) and a few vectors of length N and d; ``LOCKSTEP_BYTES`` bounds
-    the lanes of one block together.
+    the lanes of one block together.  Its 1 MiB comes from a scan of 256 KiB
+    to 2 MiB on both sweep benchmarks, recorded in ``BENCH_pr26.json``:
+    wider blocks ran the fresh partial-Fourier sweep faster, and 2 MiB
+    raised the shared Gaussian sweep's peak memory twice as much as 1 MiB.
     """
     capacity = _capacity(algo, rows, sparsity)
     lane_bytes = 8 * (capacity * (rows + capacity) + 4 * (rows + dim))

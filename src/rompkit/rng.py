@@ -8,7 +8,8 @@ ever sharing generator state.  Two processes that build the same
 ``(seed, path)`` get bit-identical draws regardless of execution order, which
 is what makes sweep output deterministic under parallel or reordered trials.
 
-A sweep cell derives its trials' seeds and Philox keys in batched passes of
+A sweep cell derives its trials' seeds and Philox keys, and a fresh-matrix
+cell its matrices' seeds and keys, in batched passes of
 :func:`generate_states`, bit for bit numpy's ``SeedSequence`` (as
 ``tests/test_rng.py`` checks), and restarts one Philox at each key.
 """

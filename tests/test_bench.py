@@ -4,6 +4,7 @@ import math
 import sys
 import weakref
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -483,6 +484,30 @@ def test_sweep_rows_follow_the_scalar_stream_rule(monkeypatch, signal_kind, nois
         assert record.err2_2n == np.linalg.norm(estimate - best_m_term(signal, 6))
         assert record.tail1 == np.sum(np.abs(signal - best_m_term(signal, 3)))
         assert record.support_hit == np.intersect1d(support, outcome.result.support).size / support.size
+
+
+@pytest.mark.parametrize(
+    "ensemble, fresh",
+    [("gaussian", False), ("partial-fourier-real", True), ("bernoulli", True)],
+    ids=["shared-gaussian", "fresh-partial-fourier", "fresh-bernoulli"],
+)
+def test_sweep_output_does_not_depend_on_the_lockstep_budget(tmp_path, monkeypatch, ensemble, fresh):
+    # A budget of one byte recovers each trial in a block of its own; the
+    # default recovers each of these cells in one block.  The trial CSV and
+    # the aggregates must be the same bytes.
+    config = small_config(
+        ensemble=ensemble, sparsities=(2, 4), measurement_counts=(16, 32), trials=6, algorithms=("romp", "omp"),
+        fresh_matrix_per_trial=fresh,
+    )
+    assert recovery.lockstep_width("romp", 32, 64, 4) >= 6
+    outputs = []
+    for budget in (1, recovery.LOCKSTEP_BYTES):
+        monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", budget)
+        path = str(tmp_path / f"budget-{budget}.csv")
+        assert len(run_sweep(replace(config, csv_path=path)).records) == 48
+        with open(path, "rb") as trials, open(aggregates_path(path), "rb") as cells:
+            outputs.append((trials.read(), cells.read()))
+    assert outputs[0] == outputs[1]
 
 
 def test_fresh_dense_sweep_holds_one_matrix_at_a_time(monkeypatch):

@@ -341,6 +341,18 @@ def test_non_numeric_entries_are_a_value_error(gaussian_64x128):
         omp_recover(gaussian_64x128, [object()] * 64, 2)
 
 
+@pytest.mark.parametrize("algo, recover", [("romp", romp_recover), ("omp", omp_recover)], ids=["romp", "omp"])
+def test_complex_entries_are_a_value_error(algo, recover, gaussian_64x128):
+    # A cast to float64 would keep only the real parts: an imaginary x would
+    # end as zero-observation, and a complex Phi would recover its real part.
+    with pytest.raises(ValueError, match="vector entries must be real numbers, got complex128"):
+        recover(gaussian_64x128, np.full(64, 1j), 2)
+    with pytest.raises(ValueError, match="matrix entries must be real numbers, got complex128"):
+        recover(gaussian_64x128 + 0j, gaussian_64x128[:, 3], 1)
+    with pytest.raises(ValueError, match="matrix entries must be real numbers, got complex64"):
+        recover_block(algo, gaussian_64x128, np.ones((2, 64), dtype=np.complex64), 1)
+
+
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
 def test_integer_like_sparsity_runs_as_its_value(recover, gaussian_64x128):
     x = gaussian_64x128[:, 5] - 0.5 * gaussian_64x128[:, 40]
