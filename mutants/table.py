@@ -220,6 +220,30 @@ MUTANTS = [
         tests=["tests/test_bench.py"],
     ),
     dict(
+        name="refit-cutoff-from-block",
+        why="the refit's rank rule cuts each lane off at the block's largest |diag R| instead of its own",
+        file="src/rompkit/linalg.py",
+        old="if least < RANK_CUTOFF_RATIO * most or not most}\n",
+        new="if least < RANK_CUTOFF_RATIO * max(top) or not most}\n",
+        tests=["tests/test_linalg.py"],
+    ),
+    dict(
+        name="refit-misses-newest-column",
+        why="the refit's rank rule reads one column fewer than each lane holds, so it misses the newest one",
+        file="src/rompkit/linalg.py",
+        old="    own = diag if min(sizes) == k else np.where(np.arange(k) < np.array(sizes)[:, None], diag, np.inf)\n",
+        new="    own = np.where(np.arange(k) < np.array(sizes)[:, None] - 1, diag, np.inf)\n",
+        tests=["tests/test_linalg.py"],
+    ),
+    dict(
+        name="refit-skips-finite-check",
+        why="the refit's checks pass a block whose factors hold inf or NaN when no lane breaks the rank rule",
+        file="src/rompkit/linalg.py",
+        old="    if np.isfinite(r).all() and np.isfinite(z).all() and not failing:\n",
+        new="    if not failing:\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
         name="complex-cast-to-real",
         why="the matrix and vector conversion casts a complex array to its real part",
         file="src/rompkit/linalg.py",

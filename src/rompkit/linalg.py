@@ -1,8 +1,10 @@
 """Input validation, run once where an input enters, and the loop's refit step.
 
 The recovery loop keeps its own QR factor ``A = Q R`` of the selected
-columns; its refit ``least_squares`` (not public) takes ``R`` and ``Q^T x``,
-re-checks only finiteness and the rank rule on diag R, and back-substitutes.
+columns.  Once per iteration ``refit_errors`` (not public) checks the
+stacked factors of all its trials at once, for finiteness and the rank rule
+on diag R; each trial that passes then refits with ``least_squares`` (not
+public), a bare back-substitution in ``R y = Q^T x``.
 
 Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
 float64 arrays, both made by one conversion rule, which rejects an entry
@@ -89,24 +91,53 @@ def as_vector(v):
     return _as_array(v, 1, "vector")
 
 
+def refit_errors(r, z, order, sizes, rows):
+    """The refit's two rules over a block of lanes: ``{lane: error}`` for each lane that breaks one.
+
+    Not public, and it checks no type or shape, since it trusts the loop's
+    own factors.  ``r`` is a (b, c, c) stack of upper-triangular R, ``z`` the
+    (b, c) stack of ``Q^T x`` and ``order`` the (b, c) selected column
+    indices.  Lane i holds the k = ``sizes[i]`` columns of its N x k matrix,
+    N = ``rows``, and its ``r`` and ``z`` are zero past them.  A lane with a
+    non-finite entry (a column norm past the float range) gets
+    ``ValueError``; a lane whose smallest ``|R[i,i]|`` over its own columns
+    is below ``RANK_CUTOFF_RATIO`` times its largest, or whose largest is 0,
+    gets :class:`RankDeficiencyError` with its numerical rank, its (N, k)
+    shape and its sorted support.  A lane that holds no columns has nothing
+    to refit and is not checked.
+    """
+    k = max(sizes)
+    if not k:
+        return {}
+    r, z = r[:, :k, :k], z[:, :k]
+    diag = np.abs(r.diagonal(0, 1, 2))
+    top = np.maximum.reduce(diag, axis=1).tolist()
+    # A lane's zeros past its own columns must not count as its smallest.
+    own = diag if min(sizes) == k else np.where(np.arange(k) < np.array(sizes)[:, None], diag, np.inf)
+    low = np.minimum.reduce(own, axis=1).tolist()
+    # A few lanes' comparisons cost less as Python floats than as array calls.
+    failing = {lane for lane, (least, most) in enumerate(zip(low, top)) if least < RANK_CUTOFF_RATIO * most or not most}
+    if np.isfinite(r).all() and np.isfinite(z).all() and not failing:
+        return {}
+    finite = (np.isfinite(r).all(axis=(1, 2)) & np.isfinite(z).all(axis=1)).tolist()
+    errors = {}
+    for lane, size in enumerate(sizes):
+        if not finite[lane]:
+            errors[lane] = ValueError("least-squares entries must be finite")
+        elif lane in failing and size:
+            cutoff = RANK_CUTOFF_RATIO * top[lane]
+            rank = int(np.count_nonzero(diag[lane, :size] >= cutoff)) if top[lane] > 0.0 else 0
+            errors[lane] = RankDeficiencyError(rank, (rows, size), support=np.sort(order[lane, :size]))
+    return errors
+
+
 def least_squares(r, qtx):
     """The loop's refit: ``y`` minimizing ``||x - A y||_2`` from ``R y = Q^T x``, A = QR.
 
-    Not public.  It checks no type or shape, since it trusts the loop's own
-    factors: ``r`` is a float64 upper-triangular array (the loop's k x k R)
-    and ``qtx`` a float64 vector of its row count (the first k of Q^T x).
-    A non-finite entry (a column norm past the float range) raises
-    ``ValueError``; then :class:`RankDeficiencyError`, with the numerical
-    rank, when the smallest ``|R[i,i]|`` is below ``RANK_CUTOFF_RATIO``
-    times the largest or when R (like A) has more columns than rows.
+    Not public.  It checks nothing: ``r`` is the loop's k x k upper-triangular
+    R and ``qtx`` the first k of Q^T x, both of a lane that passed
+    :func:`refit_errors`.
     """
-    if not (np.isfinite(r).all() and np.isfinite(qtx).all()):
-        raise ValueError("least-squares entries must be finite")
-    diag = np.abs(np.diagonal(r))
-    dmax = float(diag.max())
-    rank = int(np.count_nonzero(diag >= RANK_CUTOFF_RATIO * dmax)) if dmax > 0.0 else 0
-    if rank < r.shape[1]:
-        raise RankDeficiencyError(rank, r.shape)
     # R is upper triangular with a nonzero diagonal, so LU with partial
     # pivoting swaps no rows and leaves U = R: this is a back-substitution.
     return np.linalg.solve(r, qtx)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import _as_operator
-from .linalg import RankDeficiencyError, as_integer, as_matrix, as_vector, least_squares
+from .linalg import as_integer, as_matrix, as_vector, least_squares, refit_errors
 
 __all__ = [
     "ALGORITHMS",
@@ -234,11 +234,11 @@ def _extend(columns, qt, r, z, x, k):
         return
     # One column's factor is its norm; np.linalg.qr would cost more in call
     # overhead than the rest of a small iteration.  A zero norm is left for
-    # least_squares' rank rule to report.  Outside [2**-500, 2**500] the
+    # the refit's rank rule to report.  Outside [2**-500, 2**500] the
     # squares may have over- or underflowed (the caller ignores both), so
     # those lanes retake the norm on the column scaled exactly by a power of
     # two, keeping the recovery equivariant under Phi -> 2**k Phi; a norm
-    # past the float range becomes inf for least_squares to reject.
+    # past the float range becomes inf for the refit's finite check.
     row = columns.swapaxes(-1, -2)
     norm = divisor = np.sqrt(row @ columns)
     norms = norm.ravel().tolist()  # cheaper than an array test on a few lanes
@@ -288,18 +288,21 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     is one BLAS call per lane with the shapes and strides a lone trial's
     product has, a stacked QR factors each lane as a lone call does, and a
     batched FFT transforms each row as it would alone, so a trial's result
-    does not depend on the block it runs in.  ``least_squares`` and
-    ``regularize`` run once per trial per iteration.
+    does not depend on the block it runs in.  ``regularize`` and the
+    back-substitution ``least_squares`` run once per trial per iteration;
+    the refit's checks run once per iteration over the stacked factors of
+    all lanes (``refit_errors``), which are zero past each lane's columns.
 
     Every end is decided in one pass over the lanes, last to first.  A lane
     with an empty selection ends on the previous iteration's fit and count:
     ``support-budget`` if ``identify`` picked for it, else
     ``zero-observation`` or the underflow ``ValueError``.  Any other lane
-    refits, traces, then ends with its refit's ``ValueError`` (a rank
-    deficiency gets the ``(N, k)`` shape and sorted support), a
-    ``ValueError`` if its trace overflows at the input scale, or at an end
-    test: zero residual, 2n columns, n iterations.  An ended lane is
-    refilled at once from lane b - 1, which the pass has handled.
+    ends with the error its factor got from the refit's checks: the finite
+    check's ``ValueError``, or a :class:`RankDeficiencyError` with the
+    ``(N, k)`` shape and sorted support.  Otherwise it refits, traces, then
+    ends with a ``ValueError`` if its trace overflows at the input scale, or
+    at an end test: zero residual, 2n columns, n iterations.  An ended lane
+    is refilled at once from lane b - 1, which the pass has handled.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -315,7 +318,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     residual = x.copy()
     qt = np.empty((width, capacity, rows))
     r = np.zeros((width, capacity, capacity))
-    z = np.empty((width, capacity))
+    z = np.zeros((width, capacity))
     order = np.empty((width, capacity), dtype=np.int64)
     coeffs = np.empty((width, capacity))
     taken = np.zeros((width, dim), dtype=bool)
@@ -377,6 +380,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     np.subtract(x[lo:hi, None], z[lo:hi, None, :end] @ qt[lo:hi, :end], out=residual[lo:hi, None])
                 lo = hi
             iterations += 1
+            failed = refit_errors(r[:b], z[:b], order[:b], size[:b], rows)
             active = residual[:b]
             vanished = (np.sqrt(active[:, None, :] @ active[:, :, None]) <= floor[:b]).ravel().tolist()
             # Last lane first, so an ended lane is refilled from one already handled.
@@ -391,13 +395,9 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows():
                         end = ValueError("correlation underflows to zero: matrix entries too small")
                 else:
-                    try:
+                    end = failed.get(lane)
+                    if end is None:
                         coeffs[lane, :k] = least_squares(r[lane, :k, :k], z[lane, :k])
-                    except ValueError as exc:
-                        end = exc
-                        if isinstance(exc, RankDeficiencyError):
-                            end = RankDeficiencyError(exc.numerical_rank, (rows, k), support=np.sort(order[lane, :k]))
-                            end.__cause__ = exc
                 if end is None and trace:
                     u, res = (np.ldexp(v[lane], exponents[lane, 0]) for v in (correlation, residual))
                     if np.isinf(u).any() or np.isinf(res).any():
@@ -528,8 +528,8 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
 
     Raises :class:`RankDeficiencyError` (with the offending index set
     attached) when the selected columns, never more than N of them, are
-    numerically dependent (the ``RANK_CUTOFF_RATIO`` rule that
-    :func:`rompkit.linalg.least_squares` applies to the diagonal of ``R``),
+    numerically dependent (the ``RANK_CUTOFF_RATIO`` rule that the refit's
+    checks apply to the diagonal of ``R``),
     which at sane sparsity levels signals a measurement matrix far from the
     isometry regime the algorithm expects.  Raises ``ValueError`` on
     non-finite or misshapen input or a non-integer ``sparsity``, and when a

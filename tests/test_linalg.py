@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rompkit.bench import SweepConfig, run_cell, run_trial, truncated_error, truncation_inequality_slack
 from rompkit.ensembles import EnsembleSpec, probe_ric
-from rompkit.linalg import RankDeficiencyError, least_squares
+from rompkit.linalg import RankDeficiencyError, least_squares, refit_errors
 from rompkit.recovery import identify, recover_block
 from rompkit.rng import derive_seed, substream
 from rompkit.signals import NoiseSpec, SignalSpec, best_m_term
@@ -121,25 +121,50 @@ def test_least_squares_residual_orthogonality(seed):
         assert abs(np.dot(col, residual)) <= 1e-8 * norm_x * np.linalg.norm(col) + 1e-300
 
 
+def check_lane(r, qtx, rows):
+    """Run the refit's rules on one lane, a block of one, and raise its error if it breaks one."""
+    k = len(qtx)
+    errors = refit_errors(r[None], qtx[None], np.arange(k)[None], [k], rows)
+    if errors:
+        raise errors[0]
+
+
+def check_refit(a, x):
+    """The refit's rules on the reduced QR factor of ``a``, as the loop holds it.
+
+    The loop's stacks are square and zero past what a lane has written, so a
+    factor with fewer rows than columns is padded with zero rows.
+    """
+    rows, k = a.shape
+    q, r = np.linalg.qr(a)
+    square, qtx = np.zeros((k, k)), np.zeros(k)
+    square[: len(r)], qtx[: len(r)] = r, q.T @ x
+    check_lane(square, qtx, rows)
+
+
 def test_least_squares_rank_deficiency_reports_rank():
     col = np.arange(1.0, 6.0)
     a = np.column_stack([col, 2.0 * col])
     with pytest.raises(RankDeficiencyError) as info:
-        refit(a, np.ones(5))
+        check_refit(a, np.ones(5))
     assert info.value.numerical_rank == 1
+    assert info.value.shape == (5, 2) and info.value.support.tolist() == [0, 1]
 
 
 def test_least_squares_underdetermined_rejected():
-    # A 3x5 matrix factors to a 3x5 R: more columns than rows.
+    # A 3x5 matrix factors to a 3x5 R: more columns than rows.  The loop
+    # never holds one (selection drops a batch that would pass N rows), so
+    # this is its R padded square with two zero rows: rank 3 of 5.
     rng = substream(5)
     a = rng.standard_normal((3, 5))
-    with pytest.raises(RankDeficiencyError):
-        refit(a, np.ones(3))
+    with pytest.raises(RankDeficiencyError) as info:
+        check_refit(a, np.ones(3))
+    assert (info.value.numerical_rank, info.value.shape) == (3, (3, 5))
 
 
 def test_least_squares_zero_matrix_rank_zero():
     with pytest.raises(RankDeficiencyError) as info:
-        refit(np.zeros((4, 2)), np.ones(4))
+        check_refit(np.zeros((4, 2)), np.ones(4))
     assert info.value.numerical_rank == 0
 
 
@@ -148,8 +173,32 @@ def test_finite_entry_validation():
     # The finite check comes before the rank rule, which would call a
     # non-finite diagonal rank-deficient.
     with pytest.raises(ValueError, match="finite"):
-        least_squares(np.array([[np.nan]]), np.ones(1))
+        check_lane(np.array([[np.nan]]), np.ones(1), 1)
     with pytest.raises(ValueError, match="finite"):
-        least_squares(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.ones(2))
+        check_lane(np.array([[np.inf, 1.0], [0.0, 1.0]]), np.ones(2), 2)
     with pytest.raises(ValueError, match="finite"):
-        least_squares(np.eye(2), np.array([np.inf, 0.0]))
+        check_lane(np.eye(2), np.array([np.inf, 0.0]), 2)
+
+
+def test_refit_rules_judge_each_lane_by_its_own_columns():
+    # One stack of lanes that hold 3, 2, 2, 0 and 1 columns, zero past them.
+    # Lane 1's diagonal is 1e11 times lane 0's, and lane 2's newest column
+    # is dependent on its first: only lane 2 fails, with its own (N, k) and
+    # support.  Lane 3 holds nothing to refit and is not judged.
+    r = np.zeros((5, 3, 3))
+    z = np.zeros((5, 3))
+    r[0] = np.triu(substream(9).standard_normal((3, 3))) + 3.0 * np.eye(3)
+    r[1, :2, :2] = 1e11 * np.eye(2)
+    r[2, :2, :2] = np.diag([1.0, 1e-11])
+    r[4, 0, 0] = 2.0
+    z[:3, :2] = 1.0
+    order = np.array([[5, 1, 9], [7, 2, 0], [8, 3, 0], [0, 0, 0], [4, 0, 0]])
+    errors = refit_errors(r, z, order, [3, 2, 2, 0, 1], 6)
+    assert list(errors) == [2]
+    error = errors[2]
+    assert type(error) is RankDeficiencyError
+    assert (error.numerical_rank, error.shape, error.support.tolist()) == (1, (6, 2), [3, 8])
+    # Each lane alone gets the same verdict.
+    for lane, k in enumerate([3, 2, 2, 0, 1]):
+        alone = refit_errors(r[lane : lane + 1], z[lane : lane + 1], order[lane : lane + 1], [k], 6)
+        assert list(alone) == ([0] if lane == 2 else [])

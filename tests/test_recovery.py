@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from unittest import mock
@@ -978,6 +979,76 @@ def test_lockstep_group_with_lanes_failing_while_others_go_on(algo, want):
     phi, block = group_with_failing_lanes()
     assert_block_matches_lone_calls(algo, phi, block, 3)
     assert outcomes(recover_block(algo, phi, block, 3)) == want
+
+
+@pytest.mark.parametrize(
+    "algo, sizes",
+    [("romp", {2: 2, 3: 2}), ("omp", {1: 4, 2: 2, 3: 2})],
+    ids=["romp", "omp"],
+)
+def test_least_squares_runs_once_per_refit_lane_per_iteration(algo, sizes, monkeypatch):
+    # group_with_failing_lanes' block, counted by the k of each call's R.
+    # Rows 1 and 3 refit at every iteration; rows 0 and 2 fail the refit's
+    # rules at their second column (ROMP selects both at once, so never
+    # calls) and the zero row never refits.  OMP's k is its iteration + 1.
+    real = recovery.least_squares
+    calls = []
+
+    def spy(r, qtx):
+        assert r.shape == (qtx.size, qtx.size)
+        calls.append(qtx.size)
+        return real(r, qtx)
+
+    monkeypatch.setattr(recovery, "least_squares", spy)
+    phi, block = group_with_failing_lanes()
+    entries = recover_block(algo, phi, block, 3)
+    assert dict(collections.Counter(calls)) == sizes
+    finished = sum(e.iterations for e in entries if isinstance(e, RecoveryResult))
+    assert len(calls) == finished + (2 if algo == "omp" else 0)
+
+
+def column_past_float_range_block(phi):
+    """``phi`` with test_column_norm_past_float_range_raises_value_error's column 0, and five rows.
+
+    Column 0 is 1e308 on rows 0-3, where every other column is zeroed.
+    Rows 1 and 4 correlate with it at once and end on the refit's finite
+    check in the first iteration.  Rows 0 and 2 vanish on rows 0-3, so they
+    go on: OMP's orthonormal columns keep exact zeros there and never pick
+    column 0, while ROMP's block QR leaves roundoff there, picks column 0
+    in the next iteration and ends on the finite check too.  Row 3 is zero.
+    """
+    phi = phi.copy()
+    phi[:, 0] = 0.0
+    phi[:4] = 0.0
+    phi[:4, 0] = 1e308
+    v = np.zeros(128)
+    v[[5, 17, 40, 99]] = [1.0, -2.0, 0.5, 1.5]
+    noise = substream(3).standard_normal(64)
+    noise[:4] = 0.0
+    corner = np.zeros(64)
+    corner[0] = 0.75
+    return phi, np.array([phi @ v, corner, noise, np.zeros(64), corner])
+
+
+FINITE = "ValueError"
+
+
+@pytest.mark.parametrize(
+    "algo, want",
+    [
+        ("romp", [FINITE, FINITE, FINITE, ("zero-observation", 0), FINITE]),
+        ("omp", [("zero-residual", 4), FINITE, ("max-iterations", 4), ("zero-observation", 0), FINITE]),
+    ],
+    ids=["romp", "omp"],
+)
+def test_lockstep_lane_ending_on_the_finite_check_beside_lanes_that_go_on(gaussian_64x128, algo, want):
+    phi, block = column_past_float_range_block(gaussian_64x128)
+    assert_block_matches_lone_calls(algo, phi, block, 4)
+    entries = recover_block(algo, phi, block, 4)
+    assert outcomes(entries) == want
+    for entry in entries:
+        if isinstance(entry, Exception):
+            assert str(entry) == "least-squares entries must be finite"
 
 
 def test_support_budget_stops_before_the_first_extension():
