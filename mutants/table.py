@@ -73,7 +73,7 @@ MUTANTS = [
         why="a correlation that underflows to zero ends as zero-observation instead of ValueError",
         file="src/rompkit/recovery.py",
         old=(
-            "                    if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows():\n"
+            "                    if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows(lane):\n"
             '                        end = ValueError("correlation underflows to zero: matrix entries too small")\n'
         ),
         new="",
@@ -207,8 +207,8 @@ MUTANTS = [
         name="fresh-matrix-next-key",
         why="a fresh cell's batched pass keys trial t's matrix with trial t + 1's seed",
         file="src/rompkit/bench.py",
-        old="    return list(zip(seeds[:, 0].tolist(), generate_states(seeds.tolist(), 2)))\n",
-        new="    return list(zip(seeds[:, 0].tolist(), generate_states(np.roll(seeds, -1, axis=0).tolist(), 2)))\n",
+        old="    return generate_states(seeds.tolist(), 2)\n",
+        new="    return generate_states(np.roll(seeds, -1, axis=0).tolist(), 2)\n",
         tests=["tests/test_bench.py"],
     ),
     dict(
@@ -242,6 +242,33 @@ MUTANTS = [
         old="    if np.isfinite(r).all() and np.isfinite(z).all() and not failing:\n",
         new="    if not failing:\n",
         tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="dense-columns-from-lane-lo",
+        why="a stacked dense Phi gathers every lane's columns from lane lo, the first lane of the group",
+        file="src/rompkit/ensembles.py",
+        old="        return a_t[np.arange(len(a_t))[:, None], index].swapaxes(-1, -2)\n",
+        new="        return a_t[0][index].swapaxes(-1, -2)\n",
+        tests=["tests/test_ensembles.py"],
+    ),
+    dict(
+        name="underflow-reads-lane-zero",
+        why="a stacked dense Phi's underflow test reads lane 0 for every lane",
+        file="src/rompkit/ensembles.py",
+        old="        return np.max(np.abs(self._lane_stack(1, lane))) < np.finfo(np.float64).tiny\n",
+        new="        return np.max(np.abs(self._lane_stack(1))) < np.finfo(np.float64).tiny\n",
+        tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="fresh-dense-uncapped",
+        why="a fresh dense cell's blocks take lockstep_width trials, however many bytes their drawn matrices hold",
+        file="src/rompkit/bench.py",
+        old=(
+            "        if config.ensemble != PARTIAL_FOURIER_REAL:\n"
+            "            width = min(width, max(1, recovery.LOCKSTEP_BYTES // (8 * measurements * config.dim)))\n"
+        ),
+        new="",
+        tests=["tests/test_bench.py"],
     ),
     dict(
         name="complex-cast-to-real",

@@ -9,16 +9,16 @@ the trial, with fresh matrices), so replaying one trial takes the sweep's
 config plus the row's cell and trial index.  Rows are emitted in
 deterministic (cell, trial) order and floats are serialized with shortest
 round-trip formatting, making the CSV byte-stable under a fixed master seed.
-A cell derives its trials' seeds and stream keys in batched passes before
-its first block, and a fresh-matrix cell its matrices' seeds and keys too.
-A cell recovers its trials in lockstep blocks of
-:func:`rompkit.recovery.lockstep_width` trials when they share a matrix,
-and a fresh-matrix partial-Fourier cell does too: a partial-Fourier matrix
-is a :class:`rompkit.ensembles.PartialFourier` operator, never built, not
-even to check a traced trial, and each lane carries the frequencies its
-trial's key drew.  Any other fresh-matrix cell runs one trial at a time.
-:func:`run_trial` is :func:`run_cell`'s one-trial case, so each row equals
-what it computes for that trial alone.
+A cell derives its trials' seeds and stream keys, and a fresh cell its
+matrices' keys, in batched passes before its first block.  It recovers its
+trials in lockstep blocks of :func:`rompkit.recovery.lockstep_width`
+trials, through one matrix or, in a fresh cell, a stack with one lane per
+trial, each drawn from its trial's key; a fresh Gaussian or Bernoulli block
+holds at most ``LOCKSTEP_BYTES`` of drawn matrices, or one matrix when a
+single one is larger.  A partial-Fourier matrix is a
+:class:`rompkit.ensembles.PartialFourier` operator, never built, not even
+to check a traced trial.  :func:`run_trial` is :func:`run_cell`'s
+one-trial case, so each row equals what it computes for that trial alone.
 """
 
 import csv
@@ -33,7 +33,7 @@ from .linalg import RankDeficiencyError, as_integer
 from .recovery import ALGORITHMS, lockstep_width, recover_block, verify_iteration_invariants
 from .rng import _rekey, derive_seed, generate_states
 from .signals import POWER_LAW, NoiseSpec, SignalSpec, _draw_signal, best_m_term
-from . import svgplot
+from . import recovery, svgplot
 
 __all__ = [
     "ALGORITHMS",
@@ -245,10 +245,10 @@ def _streams(config, sparsity, measurements, trials):
 
 
 def _matrix_streams(config, sparsity, measurements, trials):
-    """``(seed, key)`` of each fresh trial's matrix, in two batched passes: the seeds
-    ``derive_seed(config.seed, _STREAM_MATRIX, N, n, t)`` and the Philox keys ``substream`` gives them."""
+    """The Philox key of each fresh trial's matrix, in two batched passes: the seeds
+    ``derive_seed(config.seed, _STREAM_MATRIX, N, n, t)`` and the keys ``substream`` gives them."""
     seeds = generate_states([[config.seed, _STREAM_MATRIX, measurements, sparsity, t] for t in trials], 1)
-    return list(zip(seeds[:, 0].tolist(), generate_states(seeds.tolist(), 2)))
+    return generate_states(seeds.tolist(), 2)
 
 
 def _norms(rows):
@@ -332,24 +332,16 @@ def _score(config, algo, sparsity, measurements, streams, matrices, draws, resul
 def _run_block(config, algo, sparsity, measurements, streams, matrices, generator):
     """TrialOutcomes of the trials in ``streams``, recovered in one lockstep block.
 
-    ``matrices`` holds each trial's matrix, or, in a fresh cell, the
-    ``(seed, key)`` of each trial's matrix from :func:`_matrix_streams`, and
-    the matrix is made here, equal to :func:`build_cell_matrix`'s: a
-    partial-Fourier one is drawn from ``generator`` restarted at its key, a
-    dense one built by :func:`build_matrix` from its seed.  The ensembles
-    entry makes the block's matrices one operator, checked once, which
-    measures the block and is recovered through.  Matrices made here are
-    held only by the returned outcomes.  Signal and noise come from
-    ``generator``, re-keyed for each stream.
+    ``matrices`` holds each trial's matrix or, in a fresh cell, its key from
+    :func:`_matrix_streams`; the matrix is then drawn here from ``generator``
+    restarted at the key, equal to :func:`build_cell_matrix`'s, and held only
+    by the returned outcomes.  The ensembles entry makes the block's matrices
+    one operator, checked once, which measures the block and is recovered
+    through.  Signal and noise come from ``generator``, re-keyed per stream.
     """
     if config.fresh_matrix_per_trial:
-        spec = EnsembleSpec(config.ensemble, measurements, config.dim)  # its seed is unused: each trial names its own
-        matrices = [
-            _draw_matrix(spec, _rekey(generator, key))
-            if spec.kind == PARTIAL_FOURIER_REAL
-            else build_matrix(replace(spec, seed=seed))
-            for seed, key in matrices
-        ]
+        spec = EnsembleSpec(config.ensemble, measurements, config.dim)  # its seed is unused: each key names a matrix
+        matrices = [_draw_matrix(spec, _rekey(generator, key)) for key in matrices]
     phi = _as_operator(matrices)
     draws = _draw(config, sparsity, measurements, streams, phi, generator)
     results = recover_block(algo, phi, draws[-1], sparsity, trace=config.trace)
@@ -359,27 +351,26 @@ def _run_block(config, algo, sparsity, measurements, streams, matrices, generato
 def _outcomes(config, algo, sparsity, measurements, trials):
     """An iterator over the TrialOutcomes of ``trials`` of one cell, checked and set up at the call.
 
-    Each block runs as the iterator reaches it, so a fresh dense matrix is
-    built only once the previous one is held by nothing but its outcome.
+    Each block runs as the iterator reaches it, so a fresh cell draws a
+    block's matrices only once the previous block's are held by nothing but
+    their outcomes.
     """
     sparsity = as_integer(sparsity, "sparsity", 1)
     measurements = as_integer(measurements, "measurements", 1)
     # SweepConfig's own checks, run on this one cell; the copy is not kept.
     replace(config, algorithms=(algo,), sparsities=(sparsity,), measurement_counts=(measurements,))
-    fresh = config.fresh_matrix_per_trial
-    if fresh:
+    width = lockstep_width(algo, measurements, config.dim, sparsity)
+    if config.fresh_matrix_per_trial:
         matrices = _matrix_streams(config, sparsity, measurements, trials)
+        if config.ensemble != PARTIAL_FOURIER_REAL:
+            width = min(width, max(1, recovery.LOCKSTEP_BYTES // (8 * measurements * config.dim)))
     else:
         matrices = [build_cell_matrix(config, sparsity, measurements)] * len(trials)
-    stackable = not fresh or config.ensemble == PARTIAL_FOURIER_REAL
-    width = lockstep_width(algo, measurements, config.dim, sparsity) if stackable else 1
     streams = _streams(config, sparsity, measurements, trials)
     # One Philox for the cell, restarted at each stream's key.
     generator = np.random.Generator(np.random.Philox(0))
     return itertools.chain.from_iterable(
-        _run_block(
-            config, algo, sparsity, measurements, streams[lo : lo + width], matrices[lo : lo + width], generator
-        )
+        _run_block(config, algo, sparsity, measurements, streams[lo : lo + width], matrices[lo : lo + width], generator)
         for lo in range(0, len(streams), width)
     )
 
@@ -562,8 +553,8 @@ def run_sweep(config):
                                 + "; ".join(problems)
                             )
                     records.append(outcome.record)
-                    # Drop the outcome (and a fresh matrix with it) before the
-                    # next trial builds its own, so two never coexist.
+                    # Drop the outcome (and a fresh matrix with it) before the next block
+                    # draws its own, so a fresh cell holds one block of matrices at a time.
                     del outcome
     cells = aggregate_records(records)
     if config.csv_path:

@@ -6,8 +6,8 @@ restricted isometry constant in (0, 1) attainable at all.
 
 A partial-Fourier matrix is also available as an operator,
 :class:`PartialFourier`, that applies Phi and Phi^T through FFTs and
-gathers columns without ever storing the N x d array; ``_Dense`` gives a
-dense Phi the same calls, and ``_as_operator`` makes any Phi one of them.
+gathers columns without ever storing the N x d array; ``_Dense`` gives
+dense matrices the same calls, and ``_as_operator`` makes any Phi one of them.
 """
 
 import functools
@@ -102,12 +102,8 @@ def build_matrix(spec):
                            roundoff
 
     The trigonometric matrix is :meth:`PartialFourier.dense` of
-    :func:`partial_fourier`.  Its entries depend only on the phase index
-    m = (f j) mod d, which is reduced exactly in integer arithmetic.  Cosine
-    and sine are evaluated once on the d angles 2 pi m / d, already scaled by
-    sqrt(2/N), and the rows are gathered from those two tables.  So no angle
-    is rounded before its reduction, and the build makes 2 d cosine and sine
-    evaluations instead of N d.
+    :func:`partial_fourier`, gathered from cosine and sine tables at the
+    phase indices (f j) mod d, so no angle is rounded before its reduction.
     """
     matrix = _draw_matrix(spec, substream(spec.seed))
     return matrix.dense() if spec.kind == PARTIAL_FOURIER_REAL else matrix
@@ -249,48 +245,58 @@ class PartialFourier:
         """Lanes lo..hi-1 of a stack, copied so the loop may permute them; one matrix is itself."""
         return PartialFourier(self.freqs[lo:hi], self.dim) if self.lane_state else self
 
-    def underflows(self):
+    def underflows(self, lane):
         return False  # the first column holds sqrt(2/N)
 
 
 class _Dense:
-    """A dense N x d Phi with :class:`PartialFourier`'s calls, each row of a block computed alone."""
+    """A dense Phi with :class:`PartialFourier`'s calls, held as a (lanes, N, d) stack.
 
-    lane_state = ()
+    One N x d matrix is one lane for every row of a block; a stack sends row
+    i through lane i, one BLAS call per lane with a lone matrix's strides.
+    ``lanes`` hands out views of a stack, its ``lane_state``, which the loop
+    permutes: only :func:`_as_operator` makes one, from its own copy.
+    """
 
     def __init__(self, a):
-        self.a = a
-        self.shape = a.shape
-        self._a_t = a.T
-        self._at = self._a_t[None]
+        self._a = a if a.ndim == 3 else a[None]
+        self.lane_state = (a,) if a.ndim == 3 else ()
+        self.shape = a.shape[-2:]
+
+    def _lane_stack(self, rows, lo=0):
+        """The lanes that rows 0..rows-1 of a block go through: lanes lo.. of a stack, or the one lane."""
+        return self._a[lo : lo + rows] if self.lane_state else self._a
 
     def correlate(self, residuals):
-        return (self._at @ residuals[:, :, None])[:, :, 0]
+        return (self._lane_stack(len(residuals)).swapaxes(-1, -2) @ residuals[:, :, None])[:, :, 0]
 
     def apply(self, block):
-        return (self.a[None] @ block[:, :, None])[:, :, 0]
+        return (self._lane_stack(len(block)) @ block[:, :, None])[:, :, 0]
 
     def columns(self, index, lo=0):
         # Each lane's (N, m) block is column-major, as ``a[:, idx]`` lays it out.
-        return self._a_t[index].swapaxes(-1, -2)
+        a_t = self._lane_stack(len(index), lo).swapaxes(-1, -2)
+        return a_t[np.arange(len(a_t))[:, None], index].swapaxes(-1, -2)
 
     def lanes(self, lo, hi):
-        return self
+        return _Dense(self._a[lo:hi]) if self.lane_state else self
 
-    def underflows(self):
-        return np.max(np.abs(self.a)) < np.finfo(np.float64).tiny
+    def underflows(self, lane):
+        return np.max(np.abs(self._lane_stack(1, lane))) < np.finfo(np.float64).tiny
 
 
 def _as_operator(phi):
     """The loop's operator for a raw Phi, the one entry.  An operator passes as it is; a block's list of
     per-trial matrices is its one matrix's operator when every entry is that matrix, else one stack of
-    their partial-Fourier lanes.  A dense Phi is checked by :func:`as_matrix`."""
+    their lanes, partial-Fourier or dense.  Each dense matrix is checked by :func:`as_matrix`."""
     if isinstance(phi, list) and phi and all(m is phi[0] for m in phi) and np.ndim(phi[0]) != 1:
         phi = phi[0]
     if isinstance(phi, (PartialFourier, _Dense)):
         return phi
     if isinstance(phi, list) and phi and all(isinstance(m, PartialFourier) and m.dim == phi[0].dim for m in phi):
         return PartialFourier(np.array([m.freqs for m in phi]), phi[0].dim)
+    if isinstance(phi, list) and phi and np.ndim(phi[0]) == 2:
+        return _Dense(np.stack([as_matrix(m) for m in phi]))
     return _Dense(as_matrix(phi))
 
 

@@ -13,12 +13,11 @@ iteration costs one correlation, work proportional to the new columns and
 a back-substitution in the small triangular system ``R y = Q^T x``.
 
 :func:`recover_block` runs the loop in lockstep over many measurement
-vectors, and the single-vector entry points are blocks of one.  Phi is a
-dense array or a :class:`rompkit.ensembles.PartialFourier` operator, which
-is never built: its correlation is one batched FFT, and each lane of a
-stacked operator carries its own trial's frequencies.  Every raw Phi
-becomes the loop's operator through one entry in :mod:`rompkit.ensembles`.
-Each trial's result is bit-identical to its recovery alone.
+vectors, and the single-vector entry points are blocks of one.  Phi is
+one matrix for every vector or a stack with its own lane per vector, dense
+or a :class:`rompkit.ensembles.PartialFourier` operator that is never
+built; every raw Phi becomes the loop's operator through one entry in
+:mod:`rompkit.ensembles`.  Each result is bit-identical to a lone recovery.
 """
 
 import math
@@ -392,7 +391,7 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     # identify's picks were dropped at N rows, or it found none.  A nonzero residual
                     # whose correlation underflowed to zero is numerical, not x orthogonal to Phi.
                     end = SUPPORT_BUDGET if edges[lane] < edges[lane + 1] else ZERO_OBSERVATION
-                    if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows():
+                    if end == ZERO_OBSERVATION and residual[lane].any() and phi.underflows(lane):
                         end = ValueError("correlation underflows to zero: matrix entries too small")
                 else:
                     end = failed.get(lane)
@@ -448,9 +447,10 @@ def _pursue(algo, phi, measurements, sparsity, trace):
 def recover_block(algo, matrix, measurements, sparsity, trace=False):
     """Recover every row of ``measurements`` through ``matrix``, in lockstep.
 
-    ``algo`` is ``"romp"`` or ``"omp"``.  ``matrix`` is a dense Phi or a
-    :class:`rompkit.ensembles.PartialFourier`: one matrix for every row, or
-    a stack with one lane per row, row i measured through lane i.  Returns
+    ``algo`` is ``"romp"`` or ``"omp"``.  ``matrix`` is one Phi for every
+    row, dense or a :class:`rompkit.ensembles.PartialFourier`, or a stack
+    with one lane per row, row i measured through lane i: a stacked
+    operator, or a list of per-row dense matrices or operators.  Returns
     one entry per row, in order: the row's RecoveryResult, or the
     RankDeficiencyError or ValueError its recovery raised (other rows are
     unaffected).  Each entry is bit-identical to what :func:`romp_recover`
@@ -459,10 +459,11 @@ def recover_block(algo, matrix, measurements, sparsity, trace=False):
     :func:`lockstep_width` rows is recovered through its ``lanes``.
 
     This is the one place recovery inputs are checked, once per call: an
-    unknown ``algo``, a non-finite or misshapen Phi or block, a stack whose
-    lane count is not the row count, a row length other than N, and a
-    ``sparsity`` that is not an integer (as ``operator.index`` sees it), is
-    below 1 or exceeds d / 3 all raise ``ValueError`` before any trial runs.
+    unknown ``algo``, a non-finite or misshapen Phi or block, a list of
+    dense matrices of unequal shapes, a stack whose lane count is not the
+    row count, a row length other than N, and a ``sparsity`` that is not an
+    integer (as ``operator.index`` sees it), is below 1 or exceeds d / 3
+    all raise ``ValueError`` before any trial runs.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")

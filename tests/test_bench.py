@@ -414,8 +414,8 @@ def test_failed_sweep_leaves_existing_outputs_untouched(tmp_path, monkeypatch):
 def test_lockstep_cell_rows_equal_lone_trials(monkeypatch, algo, ensemble, fresh):
     # A budget of about three lanes splits the 10-trial cell into several
     # lockstep blocks; every row must still be the one run_trial gives.  In a
-    # fresh partial-Fourier cell each lane carries its own trial's operator;
-    # a fresh dense cell runs blocks of one trial, each with its own matrix.
+    # fresh cell each lane carries its own trial's matrix: its frequencies,
+    # or its dense matrix, drawn from the trial's key.
     config = small_config(
         trials=10, ensemble=ensemble, algorithms=(algo,), sparsities=(3,), trace=True, fresh_matrix_per_trial=fresh
     )
@@ -510,21 +510,34 @@ def test_sweep_output_does_not_depend_on_the_lockstep_budget(tmp_path, monkeypat
     assert outputs[0] == outputs[1]
 
 
-def test_fresh_dense_sweep_holds_one_matrix_at_a_time(monkeypatch):
-    # run_sweep drops each outcome before the next trial; then no earlier
-    # fresh matrix may still be alive when the next one is built.
-    refs = []
-    alive_at_build = []
+def test_fresh_dense_sweep_holds_one_block_of_matrices_at_a_time(monkeypatch):
+    # run_sweep drops each outcome before the next; then a fresh dense cell
+    # draws a block's matrices only once every matrix drawn for an earlier
+    # block, and the stack the ensembles entry made of them, is gone.  At a
+    # 32 KiB budget and d = 64, an N = 16 cell is one block of four 8 KiB
+    # matrices and an N = 32 cell two blocks of two 16 KiB matrices.
+    drawn, stacks, alive_at_draw = [], [], []
 
-    def tracked(spec):
+    def draw(spec, rng):
         gc.collect()
-        alive_at_build.append(sum(ref() is not None for ref in refs))
-        matrix = build_matrix(spec)
-        refs.append(weakref.ref(matrix))
+        alive_at_draw.append(sum(ref() is not None for ref in drawn))
+        assert all(ref() is None for ref in stacks)
+        matrix = draw_matrix(spec, rng)
+        drawn.append(weakref.ref(matrix))
         return matrix
 
-    build_matrix = bench.build_matrix
-    monkeypatch.setattr(bench, "build_matrix", tracked)
+    def stack(matrices):
+        operator = as_operator(matrices)
+        (lanes,) = operator.lane_state
+        stacks.append(weakref.ref(lanes))
+        return operator
+
+    draw_matrix, as_operator = bench._draw_matrix, bench._as_operator
+    monkeypatch.setattr(bench, "_draw_matrix", draw)
+    monkeypatch.setattr(bench, "_as_operator", stack)
+    monkeypatch.setattr(recovery, "LOCKSTEP_BYTES", 32 << 10)
+    for algo in ("romp", "omp"):
+        assert recovery.lockstep_width(algo, 16, 64, 2) >= 4 and recovery.lockstep_width(algo, 32, 64, 2) >= 2
     for ensemble in ("gaussian", "bernoulli"):
         config = small_config(
             ensemble=ensemble,
@@ -535,7 +548,8 @@ def test_fresh_dense_sweep_holds_one_matrix_at_a_time(monkeypatch):
             trace=True,
         )
         assert len(run_sweep(config).records) == 16
-    assert alive_at_build == [0] * 32
+    assert alive_at_draw == [0, 1, 2, 3, 0, 1, 0, 1] * 4
+    assert len(stacks) == 12
 
 
 def test_partial_fourier_cells_never_build_a_matrix(monkeypatch):

@@ -185,7 +185,8 @@ def stacked_operator(rows, dim, lanes, seed):
 @pytest.mark.parametrize("rows,dim", PARTIAL_FOURIER_SHAPES)
 def test_operator_columns_are_bit_equal_to_dense_columns(rows, dim):
     # Row i of a (g, m) index gathers from lane lo + i, for every run of
-    # lanes of a stack, and the loop's dense Phi gathers the same columns.
+    # lanes of a stack, and the loop's dense Phi gathers the same columns,
+    # from one matrix or from a stack of them.
     op = stacked_operator(rows, dim, 4, seed=3)
     dense = op.dense()
     rng = substream(4)
@@ -195,9 +196,10 @@ def test_operator_columns_are_bit_equal_to_dense_columns(rows, dim):
         for hi in range(lo + 1, 5):
             want = np.array([dense[lane][:, index[lane]] for lane in range(lo, hi)])
             for chosen in (index[lo:hi], index[lo:hi, :1]):
-                got = op.columns(chosen, lo)
-                assert got.shape == (hi - lo, rows, chosen.shape[1])
-                assert got.tobytes() == want[..., : chosen.shape[1]].tobytes()
+                for stack in (op, _Dense(dense)):
+                    got = stack.columns(chosen, lo)
+                    assert got.shape == (hi - lo, rows, chosen.shape[1])
+                    assert got.tobytes() == want[..., : chosen.shape[1]].tobytes()
     # One matrix serves every row, whatever lo.
     single = PartialFourier(op.freqs[2], dim)
     want = np.array([dense[2][:, row] for row in index])

@@ -594,16 +594,21 @@ def test_huge_matrix_scale_traced_verifies_or_raises(recover, scale):
 
 
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
-def test_column_norm_past_float_range_raises_value_error(gaussian_64x128, recover):
-    # Column 0 is finite but its norm, 2e308, is not: the refit must reject
-    # it as non-finite, not overflow in a norm or in ldexp.
+def test_column_norm_past_float_range_raises_value_error(gaussian_64x128, recover, monkeypatch):
+    # Column 0 is finite but its norm, 2e308, is not: the refit's checks must
+    # reject it as non-finite before any back-substitution, not overflow in a
+    # norm or in ldexp.
     phi = gaussian_64x128.copy()
     phi[:, 0] = 0.0
     phi[:4, 0] = 1e308
     x = np.zeros(64)
     x[0] = 0.75
+    calls = []
+    real = recovery.least_squares
+    monkeypatch.setattr(recovery, "least_squares", lambda r, qtx: calls.append(qtx.size) or real(r, qtx))
     with pytest.raises(ValueError, match="finite"):
         recover(phi, x, 4)
+    assert calls == []
 
 
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
@@ -858,10 +863,10 @@ def assert_same_outcome(got, want):
 
 
 def row_matrix(phi, i):
-    """Row i's own Phi: its lane of a stacked operator, else ``phi`` itself."""
+    """Row i's own Phi: its lane of a stacked operator or its entry of a list, else ``phi`` itself."""
     if isinstance(phi, PartialFourier) and phi.freqs.ndim == 2:
         return PartialFourier(phi.freqs[i], phi.dim)
-    return phi
+    return phi[i] if isinstance(phi, list) else phi
 
 
 def one_at_a_time(algo, phi, block, sparsity):
@@ -1176,7 +1181,9 @@ def test_tracing_never_changes_a_result(algo, block):
 @given(
     seed=st.integers(0, 2**31 - 1),
     algo=st.sampled_from(["romp", "omp"]),
-    ensemble=st.sampled_from(["gaussian", "bernoulli", "partial-fourier-real", "partial-fourier-operator", "stacked"]),
+    ensemble=st.sampled_from(
+        ["gaussian", "bernoulli", "partial-fourier-real", "partial-fourier-operator", "stacked", "stacked-dense"]
+    ),
     trials=st.integers(1, 9),
     budget=st.sampled_from([1, 20_000, 60_000, recovery.LOCKSTEP_BYTES]),
     data=st.data(),
@@ -1184,11 +1191,16 @@ def test_tracing_never_changes_a_result(algo, block):
 def test_lockstep_results_do_not_depend_on_block_width_or_order(seed, algo, ensemble, trials, budget, data):
     # "partial-fourier-operator" is one partial-Fourier operator for every
     # row; "stacked" gives each row its own frequency set, so a refilled lane
-    # must bring its trial's frequencies along.
+    # must bring its trial's frequencies along.  "stacked-dense" is a list of
+    # per-row Gaussian and Bernoulli matrices, which the loop stacks and whose
+    # lanes move with their trials just the same.
     rng = substream(seed)
     if ensemble == "stacked":
         specs = [EnsembleSpec("partial-fourier-real", 32, 96, seed=(seed + t) % 1000) for t in range(trials)]
         phi = PartialFourier(np.array([partial_fourier(spec).freqs for spec in specs]), 96)
+    elif ensemble == "stacked-dense":
+        kinds = ("gaussian", "bernoulli")
+        phi = [build_matrix(EnsembleSpec(kinds[(seed + t) % 2], 32, 96, seed=(seed + t) % 1000)) for t in range(trials)]
     elif ensemble == "partial-fourier-operator":
         phi = partial_fourier(EnsembleSpec("partial-fourier-real", 32, 96, seed=seed % 1000))
     else:
@@ -1197,13 +1209,15 @@ def test_lockstep_results_do_not_depend_on_block_width_or_order(seed, algo, ense
     for t in range(trials):
         v = np.zeros(96)
         v[rng.choice(96, size=4, replace=False)] = rng.standard_normal(4)
-        clean = row_matrix(phi, t).apply(v) if isinstance(phi, PartialFourier) else phi @ v
+        clean = row_matrix(phi, t).apply(v) if isinstance(phi, PartialFourier) else row_matrix(phi, t) @ v
         block.append(clean + rng.choice([0.0, 0.05]) * rng.standard_normal(32))
     block = np.array(block)
     order = data.draw(st.permutations(range(trials)))
     lone = one_at_a_time(algo, phi, block, 4)
     if ensemble == "stacked":
         phi = PartialFourier(phi.freqs[order], 96)
+    elif ensemble == "stacked-dense":
+        phi = [phi[t] for t in order]
     with mock.patch.object(recovery, "LOCKSTEP_BYTES", budget):
         got = recover_block(algo, phi, block[order], 4, trace=True)
     for position, t in enumerate(order):
@@ -1281,6 +1295,49 @@ def test_deep_subnormal_matrix_raises_instead_of_zero_observation(recover):
     result = recover(phi, phi @ v, 4)
     assert result.termination == "zero-observation"
     assert not np.any(result.estimate)
+
+
+@pytest.mark.parametrize("algo", ["romp", "omp"])
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_stacked_dense_block_tests_underflow_per_lane(algo, shift):
+    # Three lanes through one stack: the Gaussian Phi, the same Phi at
+    # 2**-1073, whose correlation underflows to zero, and the Phi with row 5
+    # zeroed, measured as x = e5, a true zero observation.  Each row must end
+    # as alone, whichever lane it takes: the underflow test reads each lane's
+    # own matrix.
+    phi, v, x = scaled_problem(1.0)
+    tiny = np.ldexp(phi, -1073)
+    zero_row = phi.copy()
+    zero_row[5] = 0.0
+    e5 = np.zeros(64)
+    e5[5] = 1.0
+    cases = [(phi, x, "recovered"), (tiny, tiny @ v, "underflow"), (zero_row, e5, "zero-observation")]
+    cases = cases[shift:] + cases[:shift]
+    matrices, block = [c[0] for c in cases], np.array([c[1] for c in cases])
+    assert_block_matches_lone_calls(algo, matrices, block, 4)
+    for got, (_, _, want) in zip(recover_block(algo, matrices, block, 4), cases, strict=True):
+        if want == "underflow":
+            assert type(got) is ValueError and "underflow" in str(got)
+        elif want == "zero-observation":
+            assert got.termination == "zero-observation" and not got.estimate.any()
+        else:
+            assert got.termination != "zero-observation"
+            assert np.linalg.norm(got.estimate - v) <= 1e-6 * np.linalg.norm(v)
+
+
+def test_list_of_dense_matrices_is_checked_at_the_entry():
+    phi = build_matrix(EnsembleSpec("gaussian", 32, 96, seed=1))
+    block = np.ones((2, 32))
+    with pytest.raises(ValueError, match="same shape"):
+        recover_block("romp", [phi, phi[:, :90]], block, 4)
+    with pytest.raises(ValueError, match="same shape"):
+        recover_block("omp", [phi, phi[:30]], block, 4)
+    poisoned = phi.copy()
+    poisoned[3, 7] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        recover_block("romp", [phi, poisoned], block, 4)
+    with pytest.raises(ValueError, match="a stack of 2 lanes for 3"):
+        recover_block("omp", [phi, phi.copy()], np.ones((3, 32)), 4)
 
 
 @pytest.mark.parametrize("recover", [romp_recover, omp_recover], ids=["romp", "omp"])
