@@ -124,6 +124,14 @@ MUTANTS = [
         tests=["tests/test_recovery.py", "tests/test_oracle.py"],
     ),
     dict(
+        name="n-columns-zero-residual",
+        why="a residual that vanishes because the support holds N columns ends as zero-residual, a recovery",
+        file="src/rompkit/recovery.py",
+        old="end = ZERO_RESIDUAL if k < rows else SUPPORT_BUDGET\n",
+        new="end = ZERO_RESIDUAL\n",
+        tests=["tests/test_recovery.py", "tests/test_oracle.py"],
+    ),
+    dict(
         name="half-the-iterations",
         why="recovery stops after n/2 iterations instead of n",
         file="src/rompkit/recovery.py",
@@ -242,6 +250,14 @@ MUTANTS = [
         old="    if np.isfinite(r).all() and np.isfinite(z).all() and not failing:\n",
         new="    if not failing:\n",
         tests=["tests/test_recovery.py"],
+    ),
+    dict(
+        name="refit-solves-transpose",
+        why="the refit back-substitutes in R^T y = Q^T x instead of R y = Q^T x",
+        file="src/rompkit/linalg.py",
+        old='    return _umath_linalg.solve1(r, qtx, signature="dd->d")\n',
+        new='    return _umath_linalg.solve1(r.T, qtx, signature="dd->d")\n',
+        tests=["tests/test_linalg.py"],
     ),
     dict(
         name="dense-columns-from-lane-lo",

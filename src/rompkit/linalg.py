@@ -4,7 +4,8 @@ The recovery loop keeps its own QR factor ``A = Q R`` of the selected
 columns.  Once per iteration ``refit_errors`` (not public) checks the
 stacked factors of all its trials at once, for finiteness and the rank rule
 on diag R; each trial that passes then refits with ``least_squares`` (not
-public), a bare back-substitution in ``R y = Q^T x``.
+public), a bare back-substitution in ``R y = Q^T x`` through the LAPACK
+gufunc under numpy's ``solve``, without that function's per-call wrapper.
 
 Matrices are 2-D float64 numpy arrays (row-major) and vectors are 1-D
 float64 arrays, both made by one conversion rule, which rejects an entry
@@ -14,6 +15,7 @@ that is NaN, Inf or not a real number.  Nothing here mutates its inputs.
 import operator
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "RankDeficiencyError",
@@ -137,7 +139,21 @@ def least_squares(r, qtx):
     Not public.  It checks nothing: ``r`` is the loop's k x k upper-triangular
     R and ``qtx`` the first k of Q^T x, both of a lane that passed
     :func:`refit_errors`.
+
+    It calls ``solve1``, the LAPACK ``dgesv`` gufunc that ``numpy.linalg``'s
+    ``solve`` dispatches to for a 1-D right-hand side, on the same float64
+    arrays, so every coefficient is bit-identical to ``solve``'s.  The wrapper
+    steps it skips cost most of a small call and cannot act on the loop's
+    inputs: the conversions, the square-stack check, the type promotion and
+    the final cast and wrap (``r`` and ``qtx`` are already float64, square
+    and contiguous in their last axis), and the ``errstate`` that turns a
+    singular matrix into ``LinAlgError`` (``refit_errors`` has passed the
+    lane, so ``dgesv`` never reports a singular R).  The gufunc clears the
+    floating-point flags LAPACK leaves, so a coefficient that overflows is
+    inf with no warning, as from ``solve``.  ``_umath_linalg`` is
+    private to numpy, but ``numpy.linalg`` itself imports it, so a numpy
+    without it fails at import, not mid-sweep.
     """
     # R is upper triangular with a nonzero diagonal, so LU with partial
     # pivoting swaps no rows and leaves U = R: this is a back-substitution.
-    return np.linalg.solve(r, qtx)
+    return _umath_linalg.solve1(r, qtx, signature="dd->d")

@@ -10,7 +10,9 @@ regularization step); OMP picks one coordinate at a time.
 The refit never refactors the selected columns: the loop keeps a QR factor
 of them and extends it by the newly selected block each iteration, so an
 iteration costs one correlation, work proportional to the new columns and
-a back-substitution in the small triangular system ``R y = Q^T x``.
+a back-substitution in the small triangular system ``R y = Q^T x``, which
+calls LAPACK through numpy's gufunc with none of ``solve``'s per-call
+wrapper (:func:`rompkit.linalg.least_squares`).
 
 :func:`recover_block` runs the loop in lockstep over many measurement
 vectors, and the single-vector entry points are blocks of one.  Phi is
@@ -288,7 +290,8 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     product has, a stacked QR factors each lane as a lone call does, and a
     batched FFT transforms each row as it would alone, so a trial's result
     does not depend on the block it runs in.  ``regularize`` and the
-    back-substitution ``least_squares`` run once per trial per iteration;
+    back-substitution ``least_squares`` (the LAPACK gufunc under numpy's
+    ``solve``, called with a lane's 2-D R) run once per trial per iteration;
     the refit's checks run once per iteration over the stacked factors of
     all lanes (``refit_errors``), which are zero past each lane's columns.
 
@@ -300,8 +303,10 @@ def _pursue(algo, phi, measurements, sparsity, trace):
     check's ``ValueError``, or a :class:`RankDeficiencyError` with the
     ``(N, k)`` shape and sorted support.  Otherwise it refits, traces, then
     ends with a ``ValueError`` if its trace overflows at the input scale, or
-    at an end test: zero residual, 2n columns, n iterations.  An ended lane
-    is refilled at once from lane b - 1, which the pass has handled.
+    at an end test: zero residual, 2n columns, n iterations.  A residual that
+    vanishes with N columns held ends as ``support-budget``, not
+    ``zero-residual``: N columns span R^N and fit any x.  An ended lane is
+    refilled at once from lane b - 1, which the pass has handled.
     """
     rows, dim = phi.shape
     width = len(measurements)
@@ -413,7 +418,9 @@ def _pursue(algo, phi, measurements, sparsity, trace):
                     )
                 if end is None:
                     if vanished[lane]:
-                        end = ZERO_RESIDUAL
+                        # N columns span R^N, so their residual vanishes whatever x is: that is the
+                        # N-row budget, not a recovery.
+                        end = ZERO_RESIDUAL if k < rows else SUPPORT_BUDGET
                     elif k >= 2 * sparsity:
                         end = SUPPORT_BUDGET
                     elif iterations >= sparsity:
@@ -517,7 +524,10 @@ def romp_recover(matrix, measurements, sparsity, trace=False):
     vanishes, or the residual norm drops below ``RESIDUAL_TOL * ||x||_2``.
     It also stops, with termination ``support-budget``, when the next
     selection would take the support past N, the number of rows: the result
-    is then the previous iteration's fit.
+    is then the previous iteration's fit.  A residual that vanishes once the
+    support holds N columns ends as ``support-budget`` too, with that
+    iteration's fit: N columns span R^N, so they fit any x, and
+    ``zero-residual`` is kept for a fit from fewer columns than rows.
     Each iteration correlates the residual against all columns, keeps the
     largest ``sparsity`` nonzero coordinates, reduces them to the
     maximal-energy comparable subset, and refits least squares on everything

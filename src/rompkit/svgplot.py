@@ -6,12 +6,20 @@ series, and a legend.  Output is deterministic for identical input.
 
 import math
 import sys
-from xml.sax.saxutils import escape
 
 __all__ = ["line_plot"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 _HALF_MAX = sys.float_info.max / 2
+
+
+def _escape(text):
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape`` writes them.
+
+    Written out because that module imports ``urllib.request`` and with it
+    ``http.client``, ``ssl``, ``socket`` and ``email``.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _half_range(values, pad=0.0):
@@ -73,7 +81,7 @@ def line_plot(series, title="", x_label="", y_label=""):
     if title:
         out.append(
             f'<text x="{margin_left + plot_w / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{_escape(title)}</text>'
         )
     for tx in _ticks(x_lo, x_hi):
         x = px(tx)
@@ -95,13 +103,13 @@ def line_plot(series, title="", x_label="", y_label=""):
     if x_label:
         out.append(
             f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 12}" '
-            f'text-anchor="middle">{escape(x_label)}</text>'
+            f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 18, margin_top + plot_h / 2
         out.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
         )
     for i, (label, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
@@ -118,6 +126,6 @@ def line_plot(series, title="", x_label="", y_label=""):
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.8"/>'
         )
-        out.append(f'<text x="{lx + 28}" y="{ly}">{escape(str(label))}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(str(label))}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

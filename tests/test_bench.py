@@ -349,6 +349,15 @@ def test_line_plot_widens_an_equal_range_past_2_53():
         assert "nan" not in svg
 
 
+def test_line_plot_escapes_markup_in_title_labels_and_series():
+    # &, < and > in any text become entities, so the SVG parses as XML and reads back as given.
+    text = 'a & b < c > d "e"'
+    svg = svgplot.line_plot([(text, [(1, 2), (3, 4)])], title=text, x_label=text, y_label=text)
+    assert "a &amp; b &lt; c &gt; d \"e\"" in svg and "a & b" not in svg
+    texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count(text) == 4
+
+
 def test_line_plot_stays_finite_when_a_range_width_overflows():
     # hi - lo is inf for these ranges, and lo + ulp(lo) is inf at the largest float.  Every
     # coordinate must be finite, and no tick label may read nan or inf, nor read back as one

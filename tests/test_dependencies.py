@@ -24,3 +24,22 @@ def test_sweep_runs_on_numpy_alone():
         [sys.executable, "-c", SWEEP_WITHOUT_SCIPY], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_WITHOUT_NETWORK_STACK = """
+import sys
+import rompkit
+loaded = sorted(m for m in ("urllib.request", "http.client", "ssl", "socket", "email") if m in sys.modules)
+assert not loaded, f"modules loaded: {loaded}"
+"""
+
+
+def test_import_loads_no_network_stack():
+    # The SVG plotter escapes its own text: xml.sax.saxutils would import
+    # urllib.request and with it http.client, ssl, socket and email, about
+    # 20 ms of every run's start-up.  numpy itself loads urllib.parse.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_WITHOUT_NETWORK_STACK], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

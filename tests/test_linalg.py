@@ -121,6 +121,29 @@ def test_least_squares_residual_orthogonality(seed):
         assert abs(np.dot(col, residual)) <= 1e-8 * norm_x * np.linalg.norm(col) + 1e-300
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 12, 48, 64, 65, 120])
+def test_least_squares_is_numpy_solve_bit_for_bit(k):
+    # The loop refits one lane at a time on the k x k corner of its (b, c, c)
+    # stack of R and its (b, c) stack of Q^T x, as here, with R from a stacked
+    # QR of Gaussian N x k blocks.  Each lane's coefficients must be numpy's
+    # own solve on the same views, bit for bit.  At 2**-1030 times R the
+    # coefficients overflow: both must give inf (and the NaN of inf - inf)
+    # in the same places, and tier-1's RuntimeWarning filter sees no warning.
+    rng = substream(31, k)
+    lanes, c, rows = 3, 121, 130
+    r, z = np.zeros((lanes, c, c)), np.zeros((lanes, c))
+    q, r[:, :k, :k] = np.linalg.qr(rng.standard_normal((lanes, rows, k)))
+    z[:, :k] = (q.swapaxes(-1, -2) @ rng.standard_normal((lanes, rows, 1)))[..., 0]
+    got = {}
+    for shift in (0, -1030):
+        stack = np.ldexp(r, shift)
+        got[shift] = [least_squares(stack[lane, :k, :k], z[lane, :k]) for lane in range(lanes)]
+        want = [np.linalg.solve(stack[lane, :k, :k], z[lane, :k]) for lane in range(lanes)]
+        assert [y.view(np.int64).tolist() for y in got[shift]] == [y.view(np.int64).tolist() for y in want]
+    assert all(np.isfinite(y).all() for y in got[0])
+    assert any(np.isinf(y).any() for y in got[-1030])
+
+
 def check_lane(r, qtx, rows):
     """Run the refit's rules on one lane, a block of one, and raise its error if it breaks one."""
     k = len(qtx)

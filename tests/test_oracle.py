@@ -5,7 +5,8 @@ none of the loop's machinery: a dense Phi, the correlation zeroed on the
 support, the top n by (-|u|, index), the best comparable window found by
 scanning every start, and an ``np.linalg.lstsq`` refit on Phi_I.  Its stops
 come in the loop's order: an empty selection, a selection past N rows, the
-rank rule, then a zero residual, 2n columns and n iterations.  Problems are
+rank rule, then a zero residual (``support-budget`` when the support holds
+N columns), 2n columns and n iterations.  Problems are
 Gaussian, Bernoulli and partial-Fourier (the loop gets the operator, the
 textbook its ``dense()``) at four sizes N x d, n from 1 to 8, with noise on
 one problem in three and a zero observation in one in a hundred.
@@ -111,7 +112,8 @@ def textbook(algo, a, x, n):
             raise Undecided
         iterations += 1
         if norm <= floor:
-            end = "zero-residual"
+            # N columns span R^N: their residual vanishes whatever x is, so that is the N-row budget.
+            end = "zero-residual" if len(support) < rows else "support-budget"
         elif len(support) >= 2 * n:
             end = "support-budget"
         elif iterations >= n:

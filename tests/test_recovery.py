@@ -682,7 +682,8 @@ def test_omp_selects_one_index_per_iteration(gaussian_64x128):
 
 # A traced ROMP run at n = 3 written out by hand: the first five columns of
 # the 5 x 10 identity, x = (4, 3, 1, 1/2, 1/4).  It selects {0, 1}, then
-# {2, 3}, then {4}, and its residual is then zero.
+# {2, 3}, then {4}, and its residual is then zero.  Its five columns span
+# the five rows, so they fit any x: the run ends on the N-row budget.
 VERIFIER_PHI = np.eye(5, 10)
 VERIFIER_X = np.array([4.0, 3.0, 1.0, 0.5, 0.25])
 VERIFIER_N = 3
@@ -714,7 +715,7 @@ def hand_built_run():
         estimate=_on(previous, 10),
         support=np.array(previous),
         iterations=3,
-        termination=recovery.ZERO_RESIDUAL,
+        termination=recovery.SUPPORT_BUDGET,
         trace=trace,
     )
 
@@ -1059,14 +1060,17 @@ def test_lockstep_lane_ending_on_the_finite_check_beside_lanes_that_go_on(gaussi
 def test_support_budget_stops_before_the_first_extension():
     # 20 candidates on 16 rows: ROMP's first regularized selection already
     # holds more than N columns, so it stops with nothing fit.  OMP takes one
-    # column at a time and fits x exactly once it holds all 16.
+    # column at a time and fits x exactly once it holds all 16, as 16 columns
+    # fit any x: its zero residual ends it on the N-row budget too, with the
+    # fit, support and iteration count of its last iteration.
     phi = build_matrix(EnsembleSpec("gaussian", 16, 64, seed=3))
     x = substream(1).standard_normal(16)
     romp = romp_recover(phi, x, 20, trace=True)
     assert (romp.termination, romp.iterations, romp.trace) == ("support-budget", 0, [])
     assert romp.support.size == 0 and not romp.estimate.any()
     omp = omp_recover(phi, x, 20)
-    assert (omp.termination, omp.iterations, omp.support.size) == ("zero-residual", 16, 16)
+    assert (omp.termination, omp.iterations, omp.support.size) == ("support-budget", 16, 16)
+    assert np.allclose(phi @ omp.estimate, x, rtol=0.0, atol=1e-10 * np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("algo", ["romp", "omp"])
